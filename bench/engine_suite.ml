@@ -1,7 +1,7 @@
 (* Engine-only events/sec microbenchmarks: raw scheduler churn with no
    figure workloads, no network and no TCP — the number that isolates
-   the cost of scheduling, dispatching and (for the timer scenarios)
-   the wheel/heap substrates themselves. Recorded in BENCH_PR6.json and
+   the cost of scheduling, dispatching and (for the timer scenario)
+   the timing wheel itself. Recorded in BENCH_PR6.json and
    enforced by `make bench-gate`, so a regression in raw engine speed
    fails CI even when the allocation suite stays green.
 
@@ -43,14 +43,14 @@ let measure name engine warmup run =
       (if events = 0 then 0. else allocated_bytes /. float_of_int events) }
 
 (* Closure churn: one self-rescheduling closure, the minimal
-   schedule/pop/dispatch cycle on the heap substrate. *)
+   schedule/pop/dispatch cycle on the one-shot heap. *)
 let closure_churn () =
   let engine = Sim.Engine.create () in
   let budget = ref 0 in
   let rec tick () =
     if !budget > 0 then begin
       decr budget;
-      ignore (Sim.Engine.schedule_after engine ~delay:1e-5 tick)
+      Sim.Engine.schedule_after engine ~delay:1e-5 tick
     end
   in
   let start n =
@@ -75,9 +75,9 @@ let pipeline_churn () =
     if !budget > 0 then begin
       decr budget;
       let tx = float_of_int !size *. 8. /. 1e9 in
-      ignore (Sim.Engine.schedule_after engine ~delay:tx nop);
-      ignore (Sim.Engine.schedule_after engine ~delay:(tx +. 0.001) nop);
-      ignore (Sim.Engine.schedule_after engine ~delay:1e-5 tick)
+      Sim.Engine.schedule_after engine ~delay:tx nop;
+      Sim.Engine.schedule_after engine ~delay:(tx +. 0.001) nop;
+      Sim.Engine.schedule_after engine ~delay:1e-5 tick
     end
   in
   let start n =
@@ -90,10 +90,10 @@ let pipeline_churn () =
     (fun () -> start 400_000)
 
 (* Timer churn: 1024 recurring timer cells, each rearming itself on
-   fire with its own period, on the given substrate. This is the RTO /
-   delayed-ack shape the timing wheel exists for. *)
-let timer_churn ~use_wheel name =
-  let engine = Sim.Engine.create ~use_wheel () in
+   fire with its own period. This is the RTO / delayed-ack shape the
+   timing wheel exists for. *)
+let timer_churn () =
+  let engine = Sim.Engine.create () in
   let k = 1024 in
   let stop_at = ref 0. in
   let cells =
@@ -117,15 +117,11 @@ let timer_churn ~use_wheel name =
       cells;
     Sim.Engine.run_to_completion engine
   in
-  measure name engine
+  measure "timer-churn-wheel" engine
     (fun () -> run ~sim_s:0.1)
     (fun () -> run ~sim_s:2.0)
 
-let run_all () =
-  [ closure_churn ();
-    pipeline_churn ();
-    timer_churn ~use_wheel:true "timer-churn-wheel";
-    timer_churn ~use_wheel:false "timer-churn-heap" ]
+let run_all () = [ closure_churn (); pipeline_churn (); timer_churn () ]
 
 let pp_measurement m =
   Printf.printf

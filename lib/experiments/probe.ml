@@ -2,10 +2,9 @@ let periodic engine ~interval ~until f =
   if interval <= 0. then invalid_arg "Probe: non-positive interval";
   let rec schedule time =
     if time <= until then
-      ignore
-        (Sim.Engine.schedule_at engine ~time (fun () ->
-             f time;
-             schedule (time +. interval)))
+      Sim.Engine.schedule_at engine ~time (fun () ->
+          f time;
+          schedule (time +. interval))
   in
   schedule (Sim.Engine.now engine +. interval)
 

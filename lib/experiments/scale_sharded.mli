@@ -31,7 +31,6 @@ type result = {
   cells : int;
   domains : int;
   duration : float;
-  use_wheel : bool;
   transfers_started : int;
   transfers_completed : int;
   segments_completed : int;
@@ -75,7 +74,6 @@ val run :
   ?seed:int ->
   ?sender:string * (module Tcp.Sender.S) ->
   ?config:Tcp.Config.t ->
-  ?use_wheel:bool ->
   ?duration:float ->
   ?cells:int ->
   ?record:bool ->

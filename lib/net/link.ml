@@ -161,12 +161,10 @@ let rec transmit t packet =
   (* Tx_done is pushed first so that when [delay_ns] and [extra_ns] are
      both zero it still runs before the arrival, as the seed's closures
      did. *)
-  ignore
-    (Sim.Engine.schedule_event_after_ns t.engine ~delay:tx_ns t.tx_done_event);
-  ignore
-    (Sim.Engine.schedule_event_after_ns t.engine
-       ~delay:(tx_ns + t.delay_ns + extra_ns)
-       (alloc_arrive t packet).ar_event)
+  Sim.Engine.schedule_event_after_ns t.engine ~delay:tx_ns t.tx_done_event;
+  Sim.Engine.schedule_event_after_ns t.engine
+    ~delay:(tx_ns + t.delay_ns + extra_ns)
+    (alloc_arrive t packet).ar_event
 
 and finish_transmission t =
   t.transmitted_packets <- t.transmitted_packets + 1;

@@ -61,7 +61,7 @@ let wire ~via ~link ~src_network ~dst_network ~entry ~reroute =
         Node.receive entry p
       in
       match via with
-      | Local (engine, l) -> ignore (Sim.Engine.schedule_after engine ~delay:l arrive)
+      | Local (engine, l) -> Sim.Engine.schedule_after engine ~delay:l arrive
       | Remote (sharded, ch) -> Sim.Sharded_engine.send sharded ch arrive);
   t
 

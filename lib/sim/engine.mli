@@ -1,40 +1,41 @@
 (** Discrete-event simulation engine.
 
-    The engine owns the simulated clock and two scheduling substrates:
-    a binary-heap event queue for one-shot events (packet
-    transmissions, workload arrivals, closures) and a hierarchical
-    {!Timer_wheel} for high-churn recurring timers (retransmission and
-    delayed-ACK timers, which are armed and cancelled per packet).
-    Both substrates draw event ranks from one engine-global counter and
-    the run loop pops whichever substrate holds the earliest
-    [(time, rank)] key, so execution order — including ties — is
-    byte-identical to running everything on a single heap. The clock
-    never moves backwards.
+    The engine owns the simulated clock and two scheduling substrates,
+    each with one job. One-shot events (packet transmissions, workload
+    arrivals, closures) go on a binary-heap {!Event_queue}: pushed
+    once, popped once, never cancelled. Recurring timers
+    (retransmission and delayed-ACK timers, armed and cancelled per
+    packet) ride a hierarchical {!Timer_wheel}. Both substrates draw
+    event ranks from one engine-global counter and the run loop pops
+    whichever holds the earliest [(time, rank)] key, so execution order
+    — including ties — is byte-identical to running everything on a
+    single sorted agenda. The clock never moves backwards.
 
-    Events come in two forms. The general form is a closure
+    One-shot events come in two forms. The general form is a closure
     ([schedule_at] / [schedule_after]). Hot paths instead extend the
     {!event} variant with their own constructors and schedule those
-    directly ([schedule_event_at] / [schedule_event_after]), paying one
-    small variant block per event instead of heap closures; each layer
-    installs a dispatcher for its constructors once per engine with
-    [add_dispatcher]. Both forms share the deterministic (time,
-    insertion) order regardless of which form a component uses.
+    directly ([schedule_event_at_ns] / [schedule_event_after_ns]),
+    paying one small variant block per event instead of heap closures;
+    each layer installs a dispatcher for its constructors once per
+    engine with [add_dispatcher]. Both forms share the deterministic
+    (time, insertion) order regardless of which form a component uses.
+    A one-shot event cannot be withdrawn once scheduled; anything that
+    may need cancelling is a timer.
 
     Recurring timers use {!timer} cells: allocate once with
     [make_timer], then [arm_timer] / [cancel_timer] freely — rearming
     from the timer's own handler is safe because the cell is cleared
     before the handler runs.
 
-    Time is {!Time.t} integer nanoseconds internally. Every scheduling
-    entry point exists in two forms: a [_ns] function taking {!Time.t}
-    (the allocation-free hot path) and a float-seconds wrapper that
-    converts at the boundary. Mixing the two is safe — the float forms
-    are definitionally [Time.of_sec]/[Time.to_sec] compositions of the
-    ns forms. *)
+    Time is {!Time.t} integer nanoseconds internally. The hot paths
+    ([schedule_event_*_ns], [arm_timer_ns], [now_ns], [run_ns],
+    [next_event_time_ns]) take and return {!Time.t}. Float seconds
+    remain only where callers speak seconds — closures, [arm_timer],
+    [now], [run] — and those forms are definitionally
+    [Time.of_sec]/[Time.to_sec] compositions of the ns forms, so mixing
+    them is safe. *)
 
 type t
-
-type event_id
 
 (** Extensible event payload. Layers add constructors, e.g.
     [type Sim.Engine.event += Tx_done of link]. *)
@@ -45,11 +46,17 @@ type event = ..
 type event += Closure of (unit -> unit)
 
 (** [create ()] returns an engine with the clock at time 0.
-    [use_wheel] (default [true]) selects the timer substrate: when
-    [false], timer cells are scheduled on the heap instead — same
-    semantics and same event order, used as the differential baseline.
     [timer_granularity] is the wheel's slot width in seconds (default
-    1e-3; non-positive values fall back to the default). *)
+    1e-3).
+
+    [use_wheel] is accepted only as [true] (the default): [false]
+    selected the removed heap-timer mode. The argument survives only
+    because the frozen benchmark scenarios in [perfbench/] pass
+    [~use_wheel:true]; it goes with the next benchmark revision.
+
+    @raise Invalid_argument if [use_wheel] is [false], or if
+    [timer_granularity] is not positive (including NaN) or rounds to
+    0 ns. *)
 val create : ?use_wheel:bool -> ?timer_granularity:float -> unit -> t
 
 (** [now t] is the current simulated time, in seconds. *)
@@ -59,15 +66,6 @@ val now : t -> float
     boxing-free clock read for hot paths. *)
 val now_ns : t -> Time.t
 
-(** Which substrate timer cells ride (see [create]). *)
-val uses_wheel : t -> bool
-
-(** The wheel's slot width, in seconds. *)
-val timer_granularity : t -> float
-
-(** The wheel's slot width, in nanoseconds. *)
-val timer_granularity_ns : t -> Time.t
-
 (** [add_dispatcher t ~key f] installs [f] to execute typed events.
     [f ev] must return [true] if it handled [ev], [false] to pass it to
     the next dispatcher. Registering the same [key] twice is a no-op,
@@ -76,30 +74,21 @@ val timer_granularity_ns : t -> Time.t
     [Invalid_argument]. *)
 val add_dispatcher : t -> key:string -> (event -> bool) -> unit
 
-(** [schedule_event_at t ~time ev] executes [ev] when the clock reaches
-    [time]. Scheduling in the past raises [Invalid_argument]. *)
-val schedule_event_at : t -> time:float -> event -> event_id
+(** [schedule_event_at_ns t ~time ev] executes [ev] when the clock
+    reaches [time]. Scheduling in the past raises [Invalid_argument]. *)
+val schedule_event_at_ns : t -> time:Time.t -> event -> unit
 
-(** [schedule_event_after t ~delay ev] executes [ev] after [delay]
-    seconds. Requires [delay >= 0.]. *)
-val schedule_event_after : t -> delay:float -> event -> event_id
+(** [schedule_event_after_ns t ~delay ev] executes [ev] after [delay]
+    nanoseconds. Requires [delay >= 0]. *)
+val schedule_event_after_ns : t -> delay:Time.t -> event -> unit
 
-(** ns-native forms of the two above — no float crosses the call. *)
-val schedule_event_at_ns : t -> time:Time.t -> event -> event_id
-
-val schedule_event_after_ns : t -> delay:Time.t -> event -> event_id
-
-(** [schedule_at t ~time f] runs [f ()] when the clock reaches [time].
-    Scheduling in the past raises [Invalid_argument]. *)
-val schedule_at : t -> time:float -> (unit -> unit) -> event_id
+(** [schedule_at t ~time f] runs [f ()] when the clock reaches [time]
+    seconds. Scheduling in the past raises [Invalid_argument]. *)
+val schedule_at : t -> time:float -> (unit -> unit) -> unit
 
 (** [schedule_after t ~delay f] runs [f ()] after [delay] seconds.
     Requires [delay >= 0.]. *)
-val schedule_after : t -> delay:float -> (unit -> unit) -> event_id
-
-(** [cancel t id] prevents a scheduled event from running. Cancelling an
-    event that already ran is a no-op. *)
-val cancel : t -> event_id -> unit
+val schedule_after : t -> delay:float -> (unit -> unit) -> unit
 
 (** {2 Recurring timer cells} *)
 
@@ -154,19 +143,16 @@ val run_ns : t -> until:Time.t -> unit
     empty. *)
 val run_to_completion : t -> unit
 
-(** [pending t] is the number of scheduled, uncancelled events across
-    both substrates. *)
+(** [pending t] is the number of queued one-shot events plus armed
+    timers. *)
 val pending : t -> int
 
-(** [next_event_time t] is a conservative lower bound on the time of
-    the earliest pending event across both substrates ([infinity] when
-    idle): nothing will execute strictly before it. The heap side is
-    exact; the wheel side is its {!Timer_wheel.lower_bound}, so the
+(** [next_event_time_ns t] is a conservative lower bound on the time of
+    the earliest pending event across both substrates ([Time.never]
+    when idle): nothing will execute strictly before it. The heap side
+    is exact; the wheel side is its {!Timer_wheel.lower_bound}, so the
     returned time may precede the actual next firing. Used by
     {!Sharded_engine} to advance the global horizon over idle gaps. *)
-val next_event_time : t -> float
-
-(** ns-native [next_event_time] ([Time.never] when idle). *)
 val next_event_time_ns : t -> Time.t
 
 (** {2 Scheduler counters} (monotone over the engine's lifetime) *)

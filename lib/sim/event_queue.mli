@@ -1,90 +1,44 @@
-(** Priority queue of timestamped events.
+(** Priority queue of timestamped one-shot events.
 
-    Events are ordered by time; ties are broken by insertion order, so
-    the simulation is deterministic. Implemented as a struct-of-arrays
-    binary heap with a pending bitmap — push/pop/peek never allocate
-    per entry and never hash. Times are {!Time.t} integer nanoseconds,
-    so heap keys compare and move without boxing. Cancellation is O(1): cancelled entries
-    are skipped lazily when popped, and the heap is compacted whenever
-    more than half of it is cancelled, so memory stays proportional to
-    the number of live events. *)
+    Events are ordered by [(time, seq)], where [seq] is a rank the
+    caller draws from its own monotone counter, so ties break by
+    insertion order and the simulation is deterministic. Implemented as
+    a struct-of-arrays binary heap — push and pop never allocate per
+    entry. Times are {!Time.t} integer nanoseconds, so heap keys compare
+    and move without boxing. Entries cannot be cancelled: an event, once
+    pushed, is popped exactly once. Cancellable recurring timers live on
+    {!Timer_wheel}, which {!Engine} merges with this queue on the same
+    [(time, seq)] key. *)
 
 type 'a t
-
-(** Ids are the event's insertion rank — the [seq] of the (time, seq)
-    ordering key. Exposed as [int] so a scheduler layering another
-    substrate over this one (see {!Engine}) can draw ranks from a
-    shared counter and feed them back via {!push_seq}. *)
-type id = int
 
 (** [create ()] returns an empty queue. *)
 val create : unit -> 'a t
 
-(** [push t ~time payload] inserts an event, returning an id usable with
-    {!cancel}. *)
-val push : 'a t -> time:Time.t -> 'a -> id
-
-(** [push_seq t ~time ~seq payload] inserts an event with an externally
-    drawn rank. [seq] must be at least the internal counter (which
-    advances to [seq + 1]); ranks must be globally monotone across both
-    entry points or the pending bitmap would alias.
-    @raise Invalid_argument on a stale [seq]. *)
+(** [push_seq t ~time ~seq payload] inserts an event with key
+    [(time, seq)]. Ranks must be unique for the pop order to be total;
+    {!Engine} draws them from one engine-global counter shared with the
+    wheel. *)
 val push_seq : 'a t -> time:Time.t -> seq:int -> 'a -> unit
 
-(** [cancel t id] marks an event as cancelled; popping skips it.
-    Cancelling an already-popped or already-cancelled event is a no-op. *)
-val cancel : 'a t -> id -> unit
-
-(** [pop t] removes and returns the earliest live event as
-    [Some (time, payload)], or [None] if the queue is empty. *)
-val pop : 'a t -> (Time.t * 'a) option
-
-(** [peek_time t] returns the time of the earliest live event without
-    removing it. *)
-val peek_time : 'a t -> Time.t option
-
-(** [pop_until t ~until] pops the earliest live event if its time is
-    [<= until]; otherwise returns [None] and leaves the queue intact.
-    Equivalent to [peek_time] followed by [pop] when the peeked time is
-    due, but inspects the heap only once. *)
-val pop_until : 'a t -> until:Time.t -> (Time.t * 'a) option
-
-(** [drain t ~until f] pops every live event with time [<= until], in
-    order, calling [f time payload] on each — equivalent to looping on
-    {!pop_until} but without allocating a result per event. [f] may
-    push further events; ones due by [until] are drained in the same
-    call. *)
-val drain : 'a t -> until:Time.t -> (Time.t -> 'a -> unit) -> unit
-
-(** Allocation-free head primitives, for a caller that merges this
-    queue against another substrate and wants to read the head key
+(** Allocation-free head primitives: the caller reads the head key
     field-by-field instead of materialising options or tuples. *)
 
-(** [head t] skims cancelled entries off the top and reports whether a
-    live head remains. Must be called (and return [true]) before
-    {!head_time}, {!head_seq} or {!pop_head}. *)
+(** [head t] is [true] iff the queue holds an event. Must return [true]
+    before {!head_time}, {!head_seq} or {!pop_head} are used. *)
 val head : 'a t -> bool
 
-(** Time of the live head. Only meaningful after {!head} returned
+(** Time of the earliest event. Only meaningful after {!head} returned
     [true]. *)
 val head_time : 'a t -> Time.t
 
-(** Rank of the live head. Only meaningful after {!head} returned
+(** Rank of the earliest event. Only meaningful after {!head} returned
     [true]. *)
 val head_seq : 'a t -> int
 
-(** Removes and returns the live head's payload. Only sound after
+(** Removes and returns the earliest event's payload. Only sound after
     {!head} returned [true]. *)
 val pop_head : 'a t -> 'a
 
-(** [length t] counts live (non-cancelled) events. *)
+(** [length t] is the number of queued events. *)
 val length : 'a t -> int
-
-(** [is_empty t] is [length t = 0]. *)
-val is_empty : 'a t -> bool
-
-(** [heap_size t] is the number of physical heap slots in use,
-    including cancelled-but-not-yet-removed entries. Compaction keeps
-    it below twice {!length} (plus a small constant); exposed for
-    diagnostics and leak tests. *)
-val heap_size : 'a t -> int

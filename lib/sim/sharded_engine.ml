@@ -61,10 +61,10 @@ type t = {
   mutable running : bool;
 }
 
-let create ~domains ?(use_wheel = true) ?(timer_granularity = 1e-3) () =
+let create ~domains ?(timer_granularity = 1e-3) () =
   if domains < 1 then invalid_arg "Sharded_engine.create: domains must be >= 1";
   { engines =
-      Array.init domains (fun _ -> Engine.create ~use_wheel ~timer_granularity ());
+      Array.init domains (fun _ -> Engine.create ~timer_granularity ());
     channels_rev = [];
     channel_count = 0;
     messages = 0;
@@ -205,9 +205,8 @@ let drain t =
   List.iter
     (fun (m, ch) ->
       t.messages <- t.messages + 1;
-      ignore
-        (Engine.schedule_event_at_ns t.engines.(ch.ch_dst) ~time:m.m_time
-           (Engine.Closure m.m_run)))
+      Engine.schedule_event_at_ns t.engines.(ch.ch_dst) ~time:m.m_time
+        (Engine.Closure m.m_run))
     sorted
 
 let earliest t =

@@ -9,15 +9,15 @@
     re-filed each revolution, so arbitrarily distant deadlines are
     legal, just not O(1) forever.
 
-    The wheel is the {e second} scheduling substrate of {!Engine},
-    merged with the {!Event_queue} binary heap: every entry carries an
-    exact [(time, seq)] key where [seq] is the engine's global
+    The wheel is {!Engine}'s timer substrate, merged with the
+    {!Event_queue} binary heap of one-shot events: every entry carries
+    an exact [(time, seq)] key where [seq] is the engine's global
     insertion rank, and the wheel surfaces due entries in exact key
     order (slot buckets are only a partition; a per-call mini-heap of
     the currently due bucket restores total order). The merged schedule
-    is therefore byte-identical to running everything on the heap.
+    is therefore byte-identical to one sorted agenda of all events.
 
-    Cancellation is lazy, as in {!Event_queue}: cancelled entries stay
+    Cancellation is lazy: cancelled entries stay
     linked until their slot drains, and the wheel sweeps itself when
     more than half the linked entries are dead, keeping physical usage
     O(live) under per-packet rearm churn. *)

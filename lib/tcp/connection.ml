@@ -435,11 +435,10 @@ let create ?probe ?sketch ?on_finish network ~flow ~src ~dst ~sender ~config
 let start t ~at =
   if t.started then invalid_arg "Connection.start: already started";
   t.started <- true;
-  ignore
-    (Sim.Engine.schedule_at t.engine ~time:at (fun () ->
-         let now = Sim.Engine.now t.engine in
-         Sender.start t.sender ~now t.buf;
-         arm_flush t))
+  Sim.Engine.schedule_at t.engine ~time:at (fun () ->
+      let now = Sim.Engine.now t.engine in
+      Sender.start t.sender ~now t.buf;
+      arm_flush t)
 
 let sender_name t = Sender.name t.sender
 

@@ -125,8 +125,7 @@ and think_then_restart t slot =
     if t.churn.mean_think_s = 0. then 0.
     else Sim.Rng.exponential t.slot_rngs.(slot) ~mean:t.churn.mean_think_s
   in
-  ignore
-    (Sim.Engine.schedule_after t.engine ~delay (fun () -> start_transfer t slot))
+  Sim.Engine.schedule_after t.engine ~delay (fun () -> start_transfer t slot)
 
 let spawn_endpoints ep ~sender ~config ~churn ~rngs ?(flow_base = 0) ?probe () =
   validate churn;
@@ -160,8 +159,7 @@ let spawn_endpoints ep ~sender ~config ~churn ~rngs ?(flow_base = 0) ?probe () =
       if churn.ramp_s = 0. then 0.
       else Sim.Rng.float_range t.slot_rngs.(slot) ~lo:0. ~hi:churn.ramp_s
     in
-    ignore
-      (Sim.Engine.schedule_at engine ~time:at (fun () -> start_transfer t slot))
+    Sim.Engine.schedule_at engine ~time:at (fun () -> start_transfer t slot)
   done;
   t
 

@@ -464,17 +464,16 @@ let shard_egress_pool_prop =
           Net.Network.release_packet net_b p);
       let engine0 = Sim.Sharded_engine.engine sh 0 in
       for k = 0 to count - 1 do
-        ignore
-          (Sim.Engine.schedule_at engine0
-             ~time:(float_of_int k *. 0.0003)
-             (fun () ->
-               let p =
-                 Net.Network.make_packet net_a ~flow:7 ~src:(Net.Node.id a0)
-                   ~dst:(Net.Node.id ae) ~size:200
-                   ~route:[| Net.Node.id ae |]
-                   ~born:(Sim.Engine.now engine0) (Net.Packet.Raw k)
-               in
-               Net.Network.originate net_a ~from:a0 p))
+        Sim.Engine.schedule_at engine0
+          ~time:(float_of_int k *. 0.0003)
+          (fun () ->
+            let p =
+              Net.Network.make_packet net_a ~flow:7 ~src:(Net.Node.id a0)
+                ~dst:(Net.Node.id ae) ~size:200
+                ~route:[| Net.Node.id ae |]
+                ~born:(Sim.Engine.now engine0) (Net.Packet.Raw k)
+            in
+            Net.Network.originate net_a ~from:a0 p)
       done;
       Sim.Sharded_engine.run sh ~until:1.0;
       let arrived = List.rev !received in

@@ -96,8 +96,7 @@ let test_single_domain_passthrough () =
   let fired = ref [] in
   List.iter
     (fun t ->
-      ignore
-        (Sim.Engine.schedule_at engine ~time:t (fun () -> fired := t :: !fired)))
+      Sim.Engine.schedule_at engine ~time:t (fun () -> fired := t :: !fired))
     [ 0.5; 0.1; 0.9 ];
   Sim.Sharded_engine.run sh ~until:1.0;
   Alcotest.(check (list (float 0.))) "events in time order" [ 0.1; 0.5; 0.9 ]
@@ -116,10 +115,9 @@ let test_cross_shard_arrival_exact () =
   let e0 = Sim.Sharded_engine.engine sh 0 in
   let e1 = Sim.Sharded_engine.engine sh 1 in
   let arrival = ref nan in
-  ignore
-    (Sim.Engine.schedule_at e0 ~time:0.123 (fun () ->
-         Sim.Sharded_engine.send sh ch (fun () ->
-             arrival := Sim.Engine.now e1)));
+  Sim.Engine.schedule_at e0 ~time:0.123 (fun () ->
+      Sim.Sharded_engine.send sh ch (fun () ->
+          arrival := Sim.Engine.now e1));
   Sim.Sharded_engine.run sh ~until:1.0;
   Alcotest.(check bool) "arrival is exactly send +. latency" true
     (!arrival = 0.123 +. 0.01);
@@ -137,11 +135,10 @@ let test_ping_pong_matches_single_engine () =
     let rec bounce remaining () =
       times := Sim.Engine.now engine :: !times;
       if remaining > 1 then
-        ignore
-          (Sim.Engine.schedule_after engine ~delay:latency
-             (bounce (remaining - 1)))
+        Sim.Engine.schedule_after engine ~delay:latency
+          (bounce (remaining - 1))
     in
-    ignore (Sim.Engine.schedule_at engine ~time:0. (bounce rounds));
+    Sim.Engine.schedule_at engine ~time:0. (bounce rounds);
     Sim.Engine.run engine ~until:10.;
     List.rev !times
   in
@@ -163,7 +160,7 @@ let test_ping_pong_matches_single_engine () =
       if remaining > 1 then
         Sim.Sharded_engine.send sh rev (on0 (remaining - 1))
     in
-    ignore (Sim.Engine.schedule_at e0 ~time:0. (on0 rounds));
+    Sim.Engine.schedule_at e0 ~time:0. (on0 rounds);
     Sim.Sharded_engine.run sh ~until:10.;
     (* Merge the two alternating logs back into hit order. *)
     let rec interleave a b =
@@ -204,9 +201,8 @@ let test_repeated_run_deterministic () =
         Sim.Sharded_engine.send sh ch (hop next (remaining - 1))
       end
     in
-    ignore
-      (Sim.Engine.schedule_at (Sim.Sharded_engine.engine sh 0) ~time:0.
-         (hop 0 500));
+    Sim.Engine.schedule_at (Sim.Sharded_engine.engine sh 0) ~time:0.
+      (hop 0 500);
     Sim.Sharded_engine.run sh ~until:5.;
     (Array.map List.rev log, Sim.Sharded_engine.messages_delivered sh)
   in
@@ -219,9 +215,8 @@ let test_idle_skip () =
   let sh = Sim.Sharded_engine.create ~domains:2 () in
   ignore (Sim.Sharded_engine.channel sh ~src:0 ~dst:1 ~latency:0.001 ());
   let fired = ref false in
-  ignore
-    (Sim.Engine.schedule_at (Sim.Sharded_engine.engine sh 1) ~time:999.
-       (fun () -> fired := true));
+  Sim.Engine.schedule_at (Sim.Sharded_engine.engine sh 1) ~time:999.
+    (fun () -> fired := true);
   Sim.Sharded_engine.run sh ~until:1000.;
   Alcotest.(check bool) "fired" true !fired;
   Alcotest.(check bool) "windows stay near-constant"

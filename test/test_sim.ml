@@ -109,106 +109,64 @@ let rng_props =
 (* Event_queue                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* The queue orders on caller-drawn ranks; these tests draw them the
+   way the engine does, from one monotone counter per queue. *)
+let push_all q times_and_payloads =
+  List.iteri
+    (fun seq (time, payload) -> Sim.Event_queue.push_seq q ~time ~seq payload)
+    times_and_payloads
+
 let drain queue =
   let rec loop acc =
-    match Sim.Event_queue.pop queue with
-    | None -> List.rev acc
-    | Some (time, payload) -> loop ((time, payload) :: acc)
+    if Sim.Event_queue.head queue then begin
+      let time = Sim.Event_queue.head_time queue in
+      let payload = Sim.Event_queue.pop_head queue in
+      loop ((time, payload) :: acc)
+    end
+    else List.rev acc
   in
   loop []
 
 let test_queue_orders_by_time () =
   let q = Sim.Event_queue.create () in
-  ignore (Sim.Event_queue.push q ~time:3 "c");
-  ignore (Sim.Event_queue.push q ~time:1 "a");
-  ignore (Sim.Event_queue.push q ~time:2 "b");
+  push_all q [ (3, "c"); (1, "a"); (2, "b") ];
   Alcotest.(check (list (pair int string)))
     "sorted" [ (1, "a"); (2, "b"); (3, "c") ] (drain q)
 
 let test_queue_fifo_on_ties () =
   let q = Sim.Event_queue.create () in
-  ignore (Sim.Event_queue.push q ~time:1 "first");
-  ignore (Sim.Event_queue.push q ~time:1 "second");
-  ignore (Sim.Event_queue.push q ~time:1 "third");
+  push_all q [ (1, "first"); (1, "second"); (1, "third") ];
   Alcotest.(check (list string))
     "insertion order" [ "first"; "second"; "third" ]
     (List.map snd (drain q))
 
-let test_queue_cancel () =
-  let q = Sim.Event_queue.create () in
-  ignore (Sim.Event_queue.push q ~time:1 "keep1");
-  let id = Sim.Event_queue.push q ~time:2 "drop" in
-  ignore (Sim.Event_queue.push q ~time:3 "keep2");
-  Sim.Event_queue.cancel q id;
-  Alcotest.(check int) "length excludes cancelled" 2 (Sim.Event_queue.length q);
-  Alcotest.(check (list string))
-    "cancelled skipped" [ "keep1"; "keep2" ]
-    (List.map snd (drain q))
-
-let test_queue_cancel_after_pop_is_noop () =
-  let q = Sim.Event_queue.create () in
-  let id = Sim.Event_queue.push q ~time:1 "x" in
-  ignore (Sim.Event_queue.pop q);
-  Sim.Event_queue.cancel q id;
-  ignore (Sim.Event_queue.push q ~time:2 "y");
-  Alcotest.(check int) "length intact" 1 (Sim.Event_queue.length q)
-
 let test_queue_peek () =
   let q = Sim.Event_queue.create () in
-  Alcotest.(check (option int)) "empty" None (Sim.Event_queue.peek_time q);
-  let id = Sim.Event_queue.push q ~time:5 "x" in
-  ignore (Sim.Event_queue.push q ~time:7 "y");
-  Alcotest.(check (option int))
-    "earliest" (Some 5) (Sim.Event_queue.peek_time q);
-  Sim.Event_queue.cancel q id;
-  Alcotest.(check (option int))
-    "skips cancelled" (Some 7) (Sim.Event_queue.peek_time q)
-
-(* Compaction keeps the physical heap proportional to the live count:
-   cancelled entries must not linger until they surface at the top. *)
-let test_queue_compaction_bounds_size () =
-  let q = Sim.Event_queue.create () in
-  let ids =
-    Array.init 10_000 (fun i ->
-        Sim.Event_queue.push q ~time:i i)
-  in
-  for i = 0 to 9_899 do
-    Sim.Event_queue.cancel q ids.(i)
-  done;
-  Alcotest.(check int) "live count" 100 (Sim.Event_queue.length q);
-  Alcotest.(check bool)
-    (Printf.sprintf "heap size %d is O(live)" (Sim.Event_queue.heap_size q))
-    true
-    (Sim.Event_queue.heap_size q <= 256);
-  let survivors = List.map snd (drain q) in
-  Alcotest.(check (list int))
-    "survivors intact"
-    (List.init 100 (fun i -> 9_900 + i))
-    survivors
+  Alcotest.(check bool) "empty" false (Sim.Event_queue.head q);
+  push_all q [ (5, "x"); (7, "y") ];
+  Alcotest.(check bool) "non-empty" true (Sim.Event_queue.head q);
+  Alcotest.(check int) "earliest" 5 (Sim.Event_queue.head_time q);
+  Alcotest.(check int) "earliest rank" 0 (Sim.Event_queue.head_seq q);
+  Alcotest.(check string) "pop" "x" (Sim.Event_queue.pop_head q);
+  Alcotest.(check int) "next" 7 (Sim.Event_queue.head_time q)
 
 (* Model-based qcheck tests: the heap must agree with a naive sorted
    association list under arbitrary interleavings of push / pop /
-   cancel / peek. Times are drawn from a small set so ties (and the
-   FIFO tie-break) are exercised constantly. *)
+   peek. Times are drawn from a small set so ties (and the FIFO
+   tie-break) are exercised constantly. *)
 
-type queue_op =
-  | Push of Sim.Time.t
-  | Pop
-  | Cancel of int  (* cancel the id of the k-th push so far, mod count *)
-  | Peek
+type queue_op = Push of Sim.Time.t | Pop | Peek
 
 let op_gen =
   QCheck.Gen.(
     frequency
       [ (5, map (fun t -> Push t) (int_bound 7));
         (3, return Pop);
-        (2, map (fun k -> Cancel k) (int_bound 50));
         (1, return Peek) ])
 
 let op_print = function
   | Push t -> Printf.sprintf "Push %d" t
   | Pop -> "Pop"
-  | Cancel k -> Printf.sprintf "Cancel %d" k
   | Peek -> "Peek"
 
 let ops_arbitrary =
@@ -216,123 +174,55 @@ let ops_arbitrary =
     ~print:(fun ops -> String.concat "; " (List.map op_print ops))
     QCheck.Gen.(list_size (int_bound 200) op_gen)
 
-(* The model: a list of (time, seq, payload) kept sorted by (time, seq);
-   seq is the insertion index, so FIFO tie-break is by construction. *)
+(* The model: a list of (time, seq) kept sorted by (time, seq); seq is
+   the push index and doubles as the payload. *)
 let model_agrees ops =
   let q = Sim.Event_queue.create () in
   let model = ref [] in
-  let pushed = ref [||] in
   let push_count = ref 0 in
-  let insert (t, s, p) =
+  let insert (t, s) =
     let rec go = function
-      | [] -> [ (t, s, p) ]
-      | (t', s', _) :: _ as rest when t < t' || (t = t' && s < s') ->
-        (t, s, p) :: rest
+      | [] -> [ (t, s) ]
+      | (t', s') :: _ as rest when t < t' || (t = t' && s < s') ->
+        (t, s) :: rest
       | entry :: rest -> entry :: go rest
     in
     model := go !model
   in
   let ok = ref true in
   let check b = if not b then ok := false in
+  let pop_both () =
+    match (Sim.Event_queue.head q, !model) with
+    | false, [] -> ()
+    | true, (t', s') :: rest ->
+      check (Sim.Event_queue.head_time q = t');
+      check (Sim.Event_queue.head_seq q = s');
+      check (Sim.Event_queue.pop_head q = s');
+      model := rest
+    | true, [] | false, _ :: _ -> check false
+  in
   List.iter
     (fun op ->
       (match op with
       | Push time ->
-        let payload = !push_count in
-        let id = Sim.Event_queue.push q ~time payload in
-        pushed := Array.append !pushed [| id |];
-        insert (time, !push_count, payload);
+        let seq = !push_count in
+        Sim.Event_queue.push_seq q ~time ~seq seq;
+        insert (time, seq);
         incr push_count
-      | Pop -> (
-        match (Sim.Event_queue.pop q, !model) with
-        | None, [] -> ()
-        | Some (t, p), (t', _, p') :: rest ->
-          check (t = t' && p = p');
-          model := rest
-        | Some _, [] | None, _ :: _ -> check false)
-      | Cancel k ->
-        if !push_count > 0 then begin
-          let idx = k mod !push_count in
-          Sim.Event_queue.cancel q !pushed.(idx);
-          model := List.filter (fun (_, s, _) -> s <> idx) !model
-        end
-      | Peek ->
-        let expected =
-          match !model with [] -> None | (t, _, _) :: _ -> Some t
-        in
-        check (Sim.Event_queue.peek_time q = expected));
-      check (Sim.Event_queue.length q = List.length !model);
-      check (Sim.Event_queue.is_empty q = (!model = [])))
+      | Pop -> pop_both ()
+      | Peek -> (
+        match !model with
+        | [] -> check (not (Sim.Event_queue.head q))
+        | (t, _) :: _ ->
+          check (Sim.Event_queue.head q && Sim.Event_queue.head_time q = t)));
+      check (Sim.Event_queue.length q = List.length !model))
     ops;
   (* drain: remaining events must come out in exact model order *)
-  let rec drain_both () =
-    match (Sim.Event_queue.pop q, !model) with
-    | None, [] -> ()
-    | Some (t, p), (t', _, p') :: rest ->
-      check (t = t' && p = p');
-      model := rest;
-      drain_both ()
-    | Some _, [] | None, _ :: _ -> check false
-  in
-  drain_both ();
+  while !model <> [] do
+    pop_both ()
+  done;
+  check (not (Sim.Event_queue.head q));
   !ok
-
-(* [pop_until] replaced Engine.run's peek-then-pop loop; it must agree
-   with that loop under arbitrary pushes and a rising [until] horizon.
-   [drain] must in turn agree with a [pop_until] loop. *)
-let old_pop_until q ~until =
-  match Sim.Event_queue.peek_time q with
-  | Some t when t <= until -> Sim.Event_queue.pop q
-  | Some _ | None -> None
-
-let rec collect acc pop =
-  match pop () with
-  | Some (t, p) -> collect ((t, p) :: acc) pop
-  | None -> List.rev acc
-
-let horizon_arbitrary =
-  QCheck.(
-    pair (list (pair (int_bound 100) small_nat)) (list (int_bound 120)))
-
-let pop_until_props =
-  [ QCheck.Test.make ~name:"pop_until agrees with peek-then-pop" ~count:300
-      horizon_arbitrary
-      (fun (events, untils) ->
-        let q_new = Sim.Event_queue.create () in
-        let q_old = Sim.Event_queue.create () in
-        List.iter
-          (fun (time, payload) ->
-            ignore (Sim.Event_queue.push q_new ~time payload);
-            ignore (Sim.Event_queue.push q_old ~time payload))
-          events;
-        List.for_all
-          (fun until ->
-            let got =
-              collect [] (fun () -> Sim.Event_queue.pop_until q_new ~until)
-            in
-            let expected = collect [] (fun () -> old_pop_until q_old ~until) in
-            got = expected)
-          (List.sort compare untils));
-    QCheck.Test.make ~name:"drain agrees with a pop_until loop" ~count:300
-      horizon_arbitrary
-      (fun (events, untils) ->
-        let q_drain = Sim.Event_queue.create () in
-        let q_loop = Sim.Event_queue.create () in
-        List.iter
-          (fun (time, payload) ->
-            ignore (Sim.Event_queue.push q_drain ~time payload);
-            ignore (Sim.Event_queue.push q_loop ~time payload))
-          events;
-        List.for_all
-          (fun until ->
-            let got = ref [] in
-            Sim.Event_queue.drain q_drain ~until (fun t p ->
-                got := (t, p) :: !got);
-            let expected =
-              collect [] (fun () -> Sim.Event_queue.pop_until q_loop ~until)
-            in
-            List.rev !got = expected)
-          (List.sort compare untils)) ]
 
 let queue_props =
   [ QCheck.Test.make ~name:"heap agrees with naive sorted-list model"
@@ -341,23 +231,23 @@ let queue_props =
       QCheck.(list (int_bound 1000))
       (fun times ->
         let q = Sim.Event_queue.create () in
-        List.iter (fun t -> ignore (Sim.Event_queue.push q ~time:t ())) times;
+        push_all q (List.map (fun t -> (t, ())) times);
         let popped = List.map fst (drain q) in
         popped = List.sort compare popped);
-    QCheck.Test.make ~name:"length = pushes - pops - cancels" ~count:300
+    QCheck.Test.make ~name:"length = pushes - pops" ~count:300
       QCheck.(list (pair (int_bound 100) bool))
       (fun entries ->
         let q = Sim.Event_queue.create () in
-        let cancelled = ref 0 in
-        List.iter
-          (fun (t, cancel) ->
-            let id = Sim.Event_queue.push q ~time:t () in
-            if cancel then begin
-              Sim.Event_queue.cancel q id;
-              incr cancelled
+        let popped = ref 0 in
+        List.iteri
+          (fun seq (time, pop) ->
+            Sim.Event_queue.push_seq q ~time ~seq ();
+            if pop then begin
+              Sim.Event_queue.pop_head q;
+              incr popped
             end)
           entries;
-        Sim.Event_queue.length q = List.length entries - !cancelled) ]
+        Sim.Event_queue.length q = List.length entries - !popped) ]
 
 (* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
@@ -367,21 +257,19 @@ let test_engine_runs_in_order () =
   let engine = Sim.Engine.create () in
   let log = ref [] in
   let note label () = log := label :: !log in
-  ignore (Sim.Engine.schedule_at engine ~time:2. (note "b"));
-  ignore (Sim.Engine.schedule_at engine ~time:1. (note "a"));
-  ignore (Sim.Engine.schedule_at engine ~time:3. (note "c"));
+  Sim.Engine.schedule_at engine ~time:2. (note "b");
+  Sim.Engine.schedule_at engine ~time:1. (note "a");
+  Sim.Engine.schedule_at engine ~time:3. (note "c");
   Sim.Engine.run_to_completion engine;
   Alcotest.(check (list string)) "order" [ "a"; "b"; "c" ] (List.rev !log)
 
 let test_engine_clock_advances () =
   let engine = Sim.Engine.create () in
   let seen = ref [] in
-  ignore
-    (Sim.Engine.schedule_at engine ~time:1.5 (fun () ->
-         seen := Sim.Engine.now engine :: !seen));
-  ignore
-    (Sim.Engine.schedule_after engine ~delay:0.5 (fun () ->
-         seen := Sim.Engine.now engine :: !seen));
+  Sim.Engine.schedule_at engine ~time:1.5 (fun () ->
+      seen := Sim.Engine.now engine :: !seen);
+  Sim.Engine.schedule_after engine ~delay:0.5 (fun () ->
+      seen := Sim.Engine.now engine :: !seen);
   Sim.Engine.run_to_completion engine;
   Alcotest.(check (list (float 1e-12))) "clock at event times" [ 1.5; 0.5 ]
     !seen
@@ -389,39 +277,58 @@ let test_engine_clock_advances () =
 let test_engine_run_until () =
   let engine = Sim.Engine.create () in
   let fired = ref 0 in
-  ignore (Sim.Engine.schedule_at engine ~time:1. (fun () -> incr fired));
-  ignore (Sim.Engine.schedule_at engine ~time:5. (fun () -> incr fired));
+  Sim.Engine.schedule_at engine ~time:1. (fun () -> incr fired);
+  Sim.Engine.schedule_at engine ~time:5. (fun () -> incr fired);
   Sim.Engine.run engine ~until:2.;
   Alcotest.(check int) "only first fired" 1 !fired;
   check_float "clock at until" 2. (Sim.Engine.now engine);
   Sim.Engine.run engine ~until:10.;
   Alcotest.(check int) "second fired" 2 !fired
 
-let test_engine_cancel () =
-  let engine = Sim.Engine.create () in
-  let fired = ref false in
-  let id = Sim.Engine.schedule_at engine ~time:1. (fun () -> fired := true) in
-  Sim.Engine.cancel engine id;
-  Sim.Engine.run_to_completion engine;
-  Alcotest.(check bool) "not fired" false !fired
+(* Construction rejects the removed heap-timer mode and every timer
+   granularity the wheel cannot use, instead of substituting a default. *)
+let test_engine_rejects_heap_timers () =
+  Alcotest.check_raises "use_wheel:false rejected"
+    (Invalid_argument
+       "Engine.create: ~use_wheel:false (the heap-timer mode) was removed; \
+        timers always ride the wheel") (fun () ->
+      ignore (Sim.Engine.create ~use_wheel:false ()))
+
+let test_engine_rejects_nonpositive_granularity () =
+  Alcotest.check_raises "zero rejected"
+    (Invalid_argument "Engine.create: timer_granularity 0 is not positive")
+    (fun () -> ignore (Sim.Engine.create ~timer_granularity:0. ()));
+  Alcotest.check_raises "negative rejected"
+    (Invalid_argument "Engine.create: timer_granularity -0.001 is not positive")
+    (fun () -> ignore (Sim.Engine.create ~timer_granularity:(-1e-3) ()))
+
+let test_engine_rejects_nan_granularity () =
+  Alcotest.check_raises "NaN rejected"
+    (Invalid_argument "Engine.create: timer_granularity nan is not positive")
+    (fun () -> ignore (Sim.Engine.create ~timer_granularity:Float.nan ()))
+
+let test_engine_rejects_subns_granularity () =
+  Alcotest.check_raises "sub-nanosecond rejected"
+    (Invalid_argument "Engine.create: timer_granularity 4e-10 rounds to 0 ns")
+    (fun () -> ignore (Sim.Engine.create ~timer_granularity:4e-10 ()));
+  (* The smallest usable slot, one nanosecond, is accepted. *)
+  ignore (Sim.Engine.create ~timer_granularity:1e-9 ())
 
 let test_engine_rejects_past () =
   let engine = Sim.Engine.create () in
-  ignore (Sim.Engine.schedule_at engine ~time:5. (fun () -> ()));
+  Sim.Engine.schedule_at engine ~time:5. (fun () -> ());
   Sim.Engine.run_to_completion engine;
   Alcotest.check_raises "past scheduling rejected"
     (Invalid_argument "Engine.schedule_at: time 1 is before now 5") (fun () ->
-      ignore (Sim.Engine.schedule_at engine ~time:1. (fun () -> ())))
+      Sim.Engine.schedule_at engine ~time:1. (fun () -> ()))
 
 let test_engine_nested_scheduling () =
   let engine = Sim.Engine.create () in
   let log = ref [] in
-  ignore
-    (Sim.Engine.schedule_at engine ~time:1. (fun () ->
-         log := "outer" :: !log;
-         ignore
-           (Sim.Engine.schedule_after engine ~delay:1. (fun () ->
-                log := "inner" :: !log))));
+  Sim.Engine.schedule_at engine ~time:1. (fun () ->
+      log := "outer" :: !log;
+      Sim.Engine.schedule_after engine ~delay:1. (fun () ->
+          log := "inner" :: !log));
   Sim.Engine.run_to_completion engine;
   Alcotest.(check (list string)) "nested order" [ "outer"; "inner" ]
     (List.rev !log);
@@ -429,8 +336,8 @@ let test_engine_nested_scheduling () =
 
 let test_engine_pending () =
   let engine = Sim.Engine.create () in
-  ignore (Sim.Engine.schedule_at engine ~time:1. (fun () -> ()));
-  ignore (Sim.Engine.schedule_at engine ~time:2. (fun () -> ()));
+  Sim.Engine.schedule_at engine ~time:1. (fun () -> ());
+  Sim.Engine.schedule_at engine ~time:2. (fun () -> ());
   Alcotest.(check int) "two pending" 2 (Sim.Engine.pending engine);
   Sim.Engine.run engine ~until:1.5;
   Alcotest.(check int) "one pending" 1 (Sim.Engine.pending engine)
@@ -638,7 +545,7 @@ let wheel_props =
       wheel_ops_arbitrary wheel_model_agrees ]
 
 (* ------------------------------------------------------------------ *)
-(* Engine timer cells and substrate equivalence                        *)
+(* Engine timer cells and the reference agenda                        *)
 (* ------------------------------------------------------------------ *)
 
 let test_timer_cell_lifecycle () =
@@ -709,63 +616,165 @@ let test_timer_subtick_times_exact () =
     [ ("a", 0.0005); ("b", 0.0007); ("c", 0.0007) ]
     (List.rev !log)
 
-(* Differential harness: the same program of one-shot closures and
-   self-rearming timer cells on both substrates must produce the same
-   execution trace — times, interleaving and counters. *)
-let run_mixed_program ~use_wheel ~oneshots ~timers =
-  let engine = Sim.Engine.create ~use_wheel () in
+(* Differential harness: a program of one-shot closures and
+   self-rearming timer cells must execute on the engine exactly as on a
+   sorted-list (time, seq) reference agenda — times, interleaving and
+   counters. A cell's handler may also cancel another cell: with equal
+   delays the victim is due at the same instant, one rank behind the
+   canceller, so the cancel lands on the wheel's due head. *)
+
+type timer_spec = {
+  delay : float;  (* seconds between armaments *)
+  repeats : int;  (* rearms after the first fire *)
+  cancels : int option;  (* cell this one's handler cancels *)
+}
+
+let program_horizon = 100.
+
+let run_engine_program ~oneshots ~timers =
+  let engine = Sim.Engine.create () in
   let log = ref [] in
   let note label = log := (label, Sim.Engine.now engine) :: !log in
   List.iteri
     (fun i time ->
-      ignore
-        (Sim.Engine.schedule_at engine ~time (fun () -> note (1000 + i))))
+      Sim.Engine.schedule_at engine ~time (fun () -> note (1000 + i)))
     oneshots;
+  let cells = Array.make (List.length timers) None in
+  let cell i = Option.get cells.(i) in
   List.iteri
-    (fun i (delay, repeats) ->
-      let remaining = ref repeats in
-      let cell = ref None in
+    (fun i spec ->
+      let remaining = ref spec.repeats in
       let handler () =
         note i;
+        Option.iter
+          (fun j -> Sim.Engine.cancel_timer engine (cell j))
+          spec.cancels;
         if !remaining > 0 then begin
           decr remaining;
-          Sim.Engine.arm_timer engine (Option.get !cell) ~delay
+          Sim.Engine.arm_timer engine (cell i) ~delay:spec.delay
         end
       in
-      let tm = Sim.Engine.make_timer engine (Sim.Engine.Closure handler) in
-      cell := Some tm;
-      Sim.Engine.arm_timer engine tm ~delay)
+      cells.(i) <-
+        Some (Sim.Engine.make_timer engine (Sim.Engine.Closure handler));
+      Sim.Engine.arm_timer engine (cell i) ~delay:spec.delay)
     timers;
-  Sim.Engine.run engine ~until:100.;
+  Sim.Engine.run engine ~until:program_horizon;
   ( List.rev !log,
     Sim.Engine.events_executed engine,
     Sim.Engine.timer_fires engine )
 
-let test_engine_wheel_heap_identical () =
-  let oneshots = [ 0.1; 0.25; 0.25; 3.7; 50. ] in
-  let timers = [ (0.25, 3); (0.5, 2); (1e-4, 5); (40., 1) ] in
-  let wheel = run_mixed_program ~use_wheel:true ~oneshots ~timers in
-  let heap = run_mixed_program ~use_wheel:false ~oneshots ~timers in
-  let trace (t, _, _) = t in
-  let executed (_, e, _) = e in
-  let fires (_, _, f) = f in
-  Alcotest.(check (list (pair int (float 0.))))
-    "identical traces" (trace heap) (trace wheel);
-  Alcotest.(check int) "identical event counts" (executed heap)
-    (executed wheel);
-  Alcotest.(check int) "identical fire counts" (fires heap) (fires wheel)
+type agenda_entry = Oneshot of int | Fire of int
 
-let engine_substrate_props =
-  [ QCheck.Test.make
-      ~name:"wheel and heap schedules are byte-identical" ~count:100
-      QCheck.(
-        pair
-          (list_of_size (Gen.int_bound 20) (float_bound_exclusive 10.))
-          (list_of_size (Gen.int_bound 6)
-             (pair (float_range 1e-4 2.) (int_bound 4))))
-      (fun (oneshots, timers) ->
-        run_mixed_program ~use_wheel:true ~oneshots ~timers
-        = run_mixed_program ~use_wheel:false ~oneshots ~timers) ]
+(* The reference: one agenda sorted by (time, seq), ranks drawn in the
+   engine's order, cancellation by removal. *)
+let run_reference_program ~oneshots ~timers =
+  let timers = Array.of_list timers in
+  let agenda = ref [] in
+  let next_seq = ref 0 in
+  let now = ref 0 in
+  let add time entry =
+    let seq = !next_seq in
+    incr next_seq;
+    agenda := List.merge compare !agenda [ (time, seq, entry) ];
+    seq
+  in
+  let armed = Array.make (Array.length timers) None in
+  let remaining = Array.map (fun spec -> spec.repeats) timers in
+  let arm i =
+    let time = Sim.Time.add !now (Sim.Time.of_sec_delay timers.(i).delay) in
+    armed.(i) <- Some (add time (Fire i))
+  in
+  let cancel i =
+    Option.iter
+      (fun seq -> agenda := List.filter (fun (_, s, _) -> s <> seq) !agenda)
+      armed.(i);
+    armed.(i) <- None
+  in
+  List.iteri
+    (fun i time -> ignore (add (Sim.Time.of_sec time) (Oneshot i)))
+    oneshots;
+  Array.iteri (fun i _ -> arm i) timers;
+  let log = ref [] and executed = ref 0 and fires = ref 0 in
+  let until = Sim.Time.of_sec program_horizon in
+  let rec loop () =
+    match !agenda with
+    | (time, _, entry) :: rest when time <= until ->
+      agenda := rest;
+      now := time;
+      incr executed;
+      (match entry with
+      | Oneshot i -> log := (1000 + i, Sim.Time.to_sec time) :: !log
+      | Fire i ->
+        armed.(i) <- None;
+        incr fires;
+        log := (i, Sim.Time.to_sec time) :: !log;
+        Option.iter cancel timers.(i).cancels;
+        if remaining.(i) > 0 then begin
+          remaining.(i) <- remaining.(i) - 1;
+          arm i
+        end);
+      loop ()
+    | _ -> ()
+  in
+  loop ();
+  (List.rev !log, !executed, !fires)
+
+let test_engine_matches_reference () =
+  let oneshots = [ 0.1; 0.25; 0.25; 3.7; 50. ] in
+  let spec ?cancels delay repeats = { delay; repeats; cancels } in
+  (* Cell 1 and cell 4 are both due at 0.5 s, cell 4 one rank behind:
+     cell 1's handler cancels it at the due head. *)
+  let timers =
+    [ spec 0.25 3; spec ~cancels:4 0.5 2; spec 1e-4 5; spec 40. 1;
+      spec 0.5 2 ]
+  in
+  let trace, executed, fires = run_engine_program ~oneshots ~timers in
+  let ref_trace, ref_executed, ref_fires =
+    run_reference_program ~oneshots ~timers
+  in
+  Alcotest.(check (list (pair int (float 0.))))
+    "identical traces" ref_trace trace;
+  Alcotest.(check int) "identical event counts" ref_executed executed;
+  Alcotest.(check int) "identical fire counts" ref_fires fires;
+  Alcotest.(check bool) "cancelled at the due head, never fires" true
+    (List.for_all (fun (label, _) -> label <> 4) trace)
+
+let program_arbitrary =
+  let open QCheck.Gen in
+  let spec n =
+    map3
+      (fun delay repeats cancels -> { delay; repeats; cancels })
+      (* Half the delays sit on a coarse grid, so cells collide on
+         the same instant and a cancel can hit the due head. *)
+      (oneof
+         [ float_range 1e-4 2.;
+           map (fun k -> 0.25 *. float_of_int k) (int_range 1 4) ])
+      (int_bound 4)
+      (opt (int_bound (n - 1)))
+  in
+  let timers =
+    int_bound 6 >>= fun n -> if n = 0 then return [] else list_repeat n (spec n)
+  in
+  let print (oneshots, timers) =
+    Printf.sprintf "oneshots=[%s] timers=[%s]"
+      (String.concat "; " (List.map string_of_float oneshots))
+      (String.concat "; "
+         (List.map
+            (fun s ->
+              Printf.sprintf "%g x%d%s" s.delay s.repeats
+                (match s.cancels with
+                | Some j -> Printf.sprintf " cancels %d" j
+                | None -> ""))
+            timers))
+  in
+  QCheck.make ~print
+    (pair (list_size (int_bound 20) (float_bound_exclusive 10.)) timers)
+
+let engine_reference_props =
+  [ QCheck.Test.make ~name:"engine agrees with reference agenda" ~count:200
+      program_arbitrary (fun (oneshots, timers) ->
+        run_engine_program ~oneshots ~timers
+        = run_reference_program ~oneshots ~timers) ]
 
 (* ------------------------------------------------------------------ *)
 (* Integer-nanosecond time core                                        *)
@@ -794,15 +803,8 @@ let heap_float_order_prop =
       list (oneof [ int_bound 50; int_bound 1_000_000_000 ]))
     (fun times_ns ->
       let q = Sim.Event_queue.create () in
-      List.iteri
-        (fun i t -> ignore (Sim.Event_queue.push q ~time:t i))
-        times_ns;
-      let rec drain acc =
-        match Sim.Event_queue.pop q with
-        | None -> List.rev acc
-        | Some (t, p) -> drain ((t, p) :: acc)
-      in
-      let popped = drain [] in
+      push_all q (List.mapi (fun i t -> (t, i)) times_ns);
+      let popped = drain q in
       let model =
         List.mapi (fun i t -> (Sim.Time.to_sec t, i, t)) times_ns
         |> List.stable_sort (fun (a, i, _) (b, j, _) ->
@@ -906,20 +908,21 @@ let () =
       ( "event-queue",
         [ Alcotest.test_case "orders by time" `Quick test_queue_orders_by_time;
           Alcotest.test_case "fifo ties" `Quick test_queue_fifo_on_ties;
-          Alcotest.test_case "cancel" `Quick test_queue_cancel;
-          Alcotest.test_case "cancel after pop" `Quick
-            test_queue_cancel_after_pop_is_noop;
-          Alcotest.test_case "peek" `Quick test_queue_peek;
-          Alcotest.test_case "compaction bounds size" `Quick
-            test_queue_compaction_bounds_size ]
-        @ List.map (QCheck_alcotest.to_alcotest ~long:false) queue_props
-        @ List.map (QCheck_alcotest.to_alcotest ~long:false) pop_until_props );
+          Alcotest.test_case "peek" `Quick test_queue_peek ]
+        @ List.map (QCheck_alcotest.to_alcotest ~long:false) queue_props );
       ( "engine",
         [ Alcotest.test_case "runs in order" `Quick test_engine_runs_in_order;
           Alcotest.test_case "clock advances" `Quick test_engine_clock_advances;
           Alcotest.test_case "run until" `Quick test_engine_run_until;
-          Alcotest.test_case "cancel" `Quick test_engine_cancel;
           Alcotest.test_case "rejects past" `Quick test_engine_rejects_past;
+          Alcotest.test_case "rejects heap timers" `Quick
+            test_engine_rejects_heap_timers;
+          Alcotest.test_case "rejects non-positive granularity" `Quick
+            test_engine_rejects_nonpositive_granularity;
+          Alcotest.test_case "rejects NaN granularity" `Quick
+            test_engine_rejects_nan_granularity;
+          Alcotest.test_case "rejects sub-ns granularity" `Quick
+            test_engine_rejects_subns_granularity;
           Alcotest.test_case "nested scheduling" `Quick
             test_engine_nested_scheduling;
           Alcotest.test_case "pending" `Quick test_engine_pending ] );
@@ -943,11 +946,11 @@ let () =
             test_timer_rearm_from_own_handler;
           Alcotest.test_case "sub-tick times exact" `Quick
             test_timer_subtick_times_exact;
-          Alcotest.test_case "wheel vs heap identical" `Quick
-            test_engine_wheel_heap_identical ]
+          Alcotest.test_case "matches reference agenda" `Quick
+            test_engine_matches_reference ]
         @ List.map
             (QCheck_alcotest.to_alcotest ~long:false)
-            engine_substrate_props );
+            engine_reference_props );
       ( "trace",
         [ Alcotest.test_case "counters" `Quick test_trace_counters;
           Alcotest.test_case "tap runs in registration order" `Quick

@@ -161,8 +161,8 @@ let test_cross_traffic_delivers () =
 (* Flow churn                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let churn_run ?(use_wheel = true) ?(seed = 3) () =
-  Experiments.Scale.run ~seed ~use_wheel ~duration:1.5 ~flows:50 ()
+let churn_run ?(seed = 3) () =
+  Experiments.Scale.run ~seed ~duration:1.5 ~flows:50 ()
 
 let churn_fingerprint (r : Experiments.Scale.result) =
   ( r.Experiments.Scale.transfers_started,
@@ -181,14 +181,6 @@ let test_churn_seed_changes_run () =
     "different seed gives a different run" true
     (churn_fingerprint (churn_run ~seed:3 ())
     <> churn_fingerprint (churn_run ~seed:4 ()))
-
-let test_churn_wheel_heap_identical () =
-  (* The scale scenario end-to-end: the timer substrate must not leak
-     into simulated results, only into wall-clock. *)
-  Alcotest.(check bool)
-    "wheel and heap agree on every simulated quantity" true
-    (churn_fingerprint (churn_run ~use_wheel:true ())
-    = churn_fingerprint (churn_run ~use_wheel:false ()))
 
 let test_churn_population_invariants () =
   let r = churn_run () in
@@ -353,8 +345,6 @@ let () =
         [ Alcotest.test_case "deterministic" `Quick test_churn_deterministic;
           Alcotest.test_case "seed changes run" `Quick
             test_churn_seed_changes_run;
-          Alcotest.test_case "wheel vs heap identical" `Quick
-            test_churn_wheel_heap_identical;
           Alcotest.test_case "population invariants" `Quick
             test_churn_population_invariants;
           Alcotest.test_case "validation" `Quick test_churn_validation ] );
