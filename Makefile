@@ -1,6 +1,6 @@
 .PHONY: all build test bench bench-quick bench-gate scale-smoke \
 	scale-smoke-sharded hoststack-smoke reorder-smoke figures golden ci \
-	doc coverage coverage-summary lint-box clean
+	doc coverage coverage-summary lint-box perf-ab clean
 
 all: build
 
@@ -50,6 +50,18 @@ bench-gate:
 # the Cmm shapes it greps are compiler-version-sensitive.
 lint-box:
 	sh tools/lint_box.sh
+
+# Same-machine A/B of the end-to-end benchmark: builds BASE in a
+# throwaway git worktree under _build/, runs WORKLOAD with
+# `perfbench/run.py` on base and head over seeds 1..PAIRS (swapping
+# which side runs first each pair), and prints each metric's medians,
+# head/base ratio, pairs won and ranges (exit 1 if any run reports
+# correct: false). E.g.
+#   make perf-ab BASE=HEAD WORKLOAD=churn-10k PAIRS=3 SECONDS=30
+PAIRS ?= 3
+SECONDS ?= 30
+perf-ab:
+	sh tools/perf_ab.sh "$(BASE)" "$(WORKLOAD)" "$(PAIRS)" "$(SECONDS)"
 
 # One-point smoke of the many-flow scale scenario: 1k concurrent flow
 # slots for one simulated second.

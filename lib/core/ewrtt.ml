@@ -1,7 +1,7 @@
 type t = {
-  alpha : float;
-  beta : float;
-  iterations : int;
+  mutable alpha : float;
+  mutable beta : float;
+  mutable iterations : int;
   (* Two-slot [floatarray]: slot 0 is the envelope ([on_sample] writes
      it once per ACK, and a [mutable float] field in this mixed record
      would box every write); slot 1 is the Newton iterate scratch ([ref]
@@ -10,13 +10,22 @@ type t = {
   mutable has_sample : bool;
 }
 
+let reset t config =
+  t.alpha <- config.Tcp.Config.pr_alpha;
+  t.beta <- config.Tcp.Config.pr_beta;
+  t.iterations <- config.Tcp.Config.pr_newton_iterations;
+  Float.Array.unsafe_set t.ewrtt 0 config.Tcp.Config.pr_initial_ewrtt;
+  Float.Array.unsafe_set t.ewrtt 1 config.Tcp.Config.pr_initial_ewrtt;
+  t.has_sample <- false
+
 let create config =
   Tcp.Config.validate config;
-  { alpha = config.Tcp.Config.pr_alpha;
-    beta = config.Tcp.Config.pr_beta;
-    iterations = config.Tcp.Config.pr_newton_iterations;
-    ewrtt = Float.Array.make 2 config.Tcp.Config.pr_initial_ewrtt;
-    has_sample = false }
+  let t =
+    { alpha = 0.; beta = 0.; iterations = 0; ewrtt = Float.Array.make 2 0.;
+      has_sample = false }
+  in
+  reset t config;
+  t
 
 (* Newton's method on f(x) = x^cwnd - alpha, started at x = 1:
    x <- ((cwnd - 1) / cwnd) x + alpha / (cwnd x^(cwnd - 1)),

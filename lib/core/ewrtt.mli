@@ -18,6 +18,11 @@ type t
 
 val create : Tcp.Config.t -> t
 
+(** [reset t config] returns [t] to the state [create config] builds,
+    in place: the estimator forgets every sample. [config] must be
+    valid ({!Tcp.Config.validate}); {!Tcp_pr.reset} checks it. *)
+val reset : t -> Tcp.Config.t -> unit
+
 (** [decay_factor t ~cwnd] is the per-ACK decay [alpha^(1/cwnd)],
     computed with the configured number of Newton iterations. *)
 val decay_factor : t -> cwnd:float -> float

@@ -48,7 +48,7 @@ let mxrtt_override_ = 3
 let fs_slots = 4
 
 type t = {
-  config : Tcp.Config.t;
+  mutable config : Tcp.Config.t;
   envelope : Ewrtt.t;
   mutable mode : mode;
   fs : floatarray;
@@ -104,45 +104,84 @@ let fset t i v = Float.Array.unsafe_set t.fs i v
 
 let initial_cap = 64
 
-let create config =
+(* Returns [t] to its initial state under [config], in place. The
+   packet rings keep whatever capacity earlier transfers grew them to:
+   behaviour never depends on ring capacity (every lookup guards on
+   span membership), so a reset sender and a fresh one act alike. Only
+   slots of the active span can hold state, so zeroing those restores
+   an all-zero ring (nothing to do after a finished transfer); the
+   float slots are left as they are, since each is written before a
+   state bit makes it readable. *)
+let reset t config =
   Tcp.Config.validate config;
-  let fs = Float.Array.make fs_slots 0. in
-  Float.Array.unsafe_set fs cwnd_ config.Tcp.Config.initial_cwnd;
-  Float.Array.unsafe_set fs ssthr_ config.Tcp.Config.initial_ssthresh;
-  { config;
-    envelope = Ewrtt.create config;
-    mode = Slow_start;
-    fs;
-    cap = initial_cap;
-    state = Bytes.make initial_cap '\000';
-    sent_at = Float.Array.make initial_cap 0.;
-    cwnd_send = Float.Array.make initial_cap 0.;
-    original_at = Float.Array.make initial_cap 0.;
-    out_count = 0;
-    pending_count = 0;
-    pending_min = 0;
-    so_seq = Array.make initial_cap 0;
-    so_time = Float.Array.make initial_cap 0.;
-    so_head = 0;
-    so_len = 0;
-    next_new = 0;
-    snd_una = 0;
-    (* The sender shares [Config.t] with the receiver, so it knows the
-       initial window without a handshake. *)
-    rwnd_limit =
-      (match config.Tcp.Config.rcv_buf_segments with
-      | Some n -> n
-      | None -> max_int);
-    memorize_size = 0;
-    cburst = 0;
-    burst_reacted = false;
-    extreme = false;
-    n_sent = 0;
-    n_retx = 0;
-    n_drops_detected = 0;
-    n_false_drops = 0;
-    n_extreme_resets = 0;
-    n_mxrtt_doublings = 0 }
+  t.config <- config;
+  Ewrtt.reset t.envelope config;
+  t.mode <- Slow_start;
+  fset t cwnd_ config.Tcp.Config.initial_cwnd;
+  fset t ssthr_ config.Tcp.Config.initial_ssthresh;
+  fset t backoff_until_ 0.;
+  fset t mxrtt_override_ 0.;
+  for seq = t.snd_una to t.next_new - 1 do
+    Bytes.unsafe_set t.state (seq land (t.cap - 1)) '\000'
+  done;
+  t.out_count <- 0;
+  t.pending_count <- 0;
+  t.pending_min <- 0;
+  t.so_head <- 0;
+  t.so_len <- 0;
+  t.next_new <- 0;
+  t.snd_una <- 0;
+  (* The sender shares [Config.t] with the receiver, so it knows the
+     initial window without a handshake. *)
+  t.rwnd_limit <-
+    (match config.Tcp.Config.rcv_buf_segments with
+    | Some n -> n
+    | None -> max_int);
+  t.memorize_size <- 0;
+  t.cburst <- 0;
+  t.burst_reacted <- false;
+  t.extreme <- false;
+  t.n_sent <- 0;
+  t.n_retx <- 0;
+  t.n_drops_detected <- 0;
+  t.n_false_drops <- 0;
+  t.n_extreme_resets <- 0;
+  t.n_mxrtt_doublings <- 0
+
+let create config =
+  let t =
+    { config;
+      envelope = Ewrtt.create config;
+      mode = Slow_start;
+      fs = Float.Array.make fs_slots 0.;
+      cap = initial_cap;
+      state = Bytes.make initial_cap '\000';
+      sent_at = Float.Array.make initial_cap 0.;
+      cwnd_send = Float.Array.make initial_cap 0.;
+      original_at = Float.Array.make initial_cap 0.;
+      out_count = 0;
+      pending_count = 0;
+      pending_min = 0;
+      so_seq = Array.make initial_cap 0;
+      so_time = Float.Array.make initial_cap 0.;
+      so_head = 0;
+      so_len = 0;
+      next_new = 0;
+      snd_una = 0;
+      rwnd_limit = max_int;
+      memorize_size = 0;
+      cburst = 0;
+      burst_reacted = false;
+      extreme = false;
+      n_sent = 0;
+      n_retx = 0;
+      n_drops_detected = 0;
+      n_false_drops = 0;
+      n_extreme_resets = 0;
+      n_mxrtt_doublings = 0 }
+  in
+  reset t config;
+  t
 
 (* --- ring primitives -------------------------------------------------- *)
 

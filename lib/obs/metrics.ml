@@ -173,8 +173,11 @@ module Histogram = struct
     merge_into ~into:t b;
     t
 
+  (* Every bucket increment comes with a [count] increment, so an
+     empty histogram's buckets are already zero: resetting one (as a
+     freshly built receiver does) skips the fill. *)
   let reset t =
-    Array.fill t.counts 0 bucket_count 0;
+    if t.count > 0 then Array.fill t.counts 0 bucket_count 0;
     t.count <- 0;
     t.sum <- 0;
     t.min_v <- max_int;

@@ -10,11 +10,15 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 let debug_on () =
   match Logs.Src.level log_src with Some Logs.Debug -> true | _ -> false
 
+(* A connection is built once and may run several bounded transfers in
+   turn: {!recycle} resets the per-transfer fields (the [mutable] ones
+   below) in place, while the endpoints, routes, taps, timer cells and
+   closures belong to the connection for its whole life. *)
 type t = {
   network : Net.Network.t;
   engine : Sim.Engine.t;
-  config : Config.t;
-  flow : int;
+  mutable config : Config.t;
+  mutable flow : int;
   src : Net.Node.t;
   dst : Net.Node.t;
   sender : Sender.packed;
@@ -37,11 +41,16 @@ type t = {
   mutable flush_armed : bool;
   (* The end-of-instant drain closure, allocated once. *)
   mutable flush_fn : unit -> unit;
+  (* Node handlers and the start event, allocated once, so re-attaching
+     them under a recycled connection's new flow id costs nothing. *)
+  mutable on_data : Net.Packet.t -> unit;
+  mutable on_ack : Net.Packet.t -> unit;
+  mutable start_fn : unit -> unit;
   probe : Probe.t option;
   (* Shared data-plane reorder detector: sees every data arrival at
      the sink, before the host stack classifies it. *)
   sketch : Obs.Reorder_sketch.t option;
-  on_finish : (unit -> unit) option;
+  mutable on_finish : unit -> unit;
   (* Keyed timer slots, one {!Sim.Engine.timer} cell per sender timer
      key (senders use 0..2) plus one for the delayed-ACK flush. The
      cell is the single source of truth for "is this timer pending" —
@@ -57,7 +66,7 @@ type t = {
      window-reopen announcements owed after a zero-window
      advertisement. [drain_period = 0.] when no paced reader is
      configured — the timer is then never armed. *)
-  drain_period : float;
+  mutable drain_period : float;
   mutable drain_cell : Sim.Engine.timer option;
   mutable window_updates_sent : int;
 }
@@ -141,7 +150,7 @@ let note_finished t =
        application still reads out whatever the socket holds, and a
        standing zero window still gets its reopen announcement before
        the receiver quiesces (see the [Appdrain] dispatch). *)
-    match t.on_finish with Some f -> f () | None -> ()
+    t.on_finish ()
   end
 
 (* Execute everything the sender buffered during the current instant.
@@ -387,9 +396,13 @@ let dispatch = function
     true
   | _ -> false
 
-let create ?probe ?sketch ?on_finish network ~flow ~src ~dst ~sender ~config
-    ~route_data ~route_ack () =
-  Config.validate config;
+let drain_period_of config =
+  match config.Config.rcv_app_rate with Some rate -> 1. /. rate | None -> 0.
+
+(* [Receiver.create] validates [config] (as does every bundled sender's
+   [create]) before the connection exists. *)
+let create ?probe ?sketch ?(on_finish = ignore) network ~flow ~src ~dst
+    ~sender ~config ~route_data ~route_ack () =
   let engine = Net.Network.engine network in
   Sim.Engine.add_dispatcher engine ~key:"tcp.connection" dispatch;
   let t =
@@ -412,15 +425,15 @@ let create ?probe ?sketch ?on_finish network ~flow ~src ~dst ~sender ~config
       buf = Action_buffer.create ();
       flush_armed = false;
       flush_fn = ignore;
+      on_data = ignore;
+      on_ack = ignore;
+      start_fn = ignore;
       probe;
       sketch;
       on_finish;
       timer_cells = Array.make 4 None;
       delack_cell = None;
-      drain_period =
-        (match config.Config.rcv_app_rate with
-        | Some rate -> 1. /. rate
-        | None -> 0.);
+      drain_period = drain_period_of config;
       drain_cell = None;
       window_updates_sent = 0 }
   in
@@ -428,17 +441,58 @@ let create ?probe ?sketch ?on_finish network ~flow ~src ~dst ~sender ~config
     (fun () ->
       t.flush_armed <- false;
       drain_actions t);
-  Net.Node.attach dst ~flow (on_data_arrival t);
-  Net.Node.attach src ~flow (on_ack_arrival t);
+  t.on_data <- on_data_arrival t;
+  t.on_ack <- on_ack_arrival t;
+  t.start_fn <-
+    (fun () ->
+      let now = Sim.Engine.now t.engine in
+      Sender.start t.sender ~now t.buf;
+      arm_flush t);
+  Net.Node.attach dst ~flow t.on_data;
+  Net.Node.attach src ~flow t.on_ack;
   t
 
 let start t ~at =
   if t.started then invalid_arg "Connection.start: already started";
   t.started <- true;
-  Sim.Engine.schedule_at t.engine ~time:at (fun () ->
-      let now = Sim.Engine.now t.engine in
-      Sender.start t.sender ~now t.buf;
-      arm_flush t)
+  Sim.Engine.schedule_at t.engine ~time:at t.start_fn
+
+let idle_cell = function
+  | Some tm -> not (Sim.Engine.timer_armed tm)
+  | None -> true
+
+let quiescent t =
+  t.finished_at <> None
+  && (not t.flush_armed)
+  && t.pending_ack = None
+  && Array.for_all idle_cell t.timer_cells
+  && idle_cell t.delack_cell
+  && idle_cell t.drain_cell
+
+(* Nothing of the finished transfer can reach the connection any more:
+   no timer cell is armed, no end-of-instant flush is registered, and
+   its packets — whose flow id is detached here — strand at the
+   endpoints. So resetting in place is indistinguishable from a fresh
+   [create] with the same endpoints, routes and taps. *)
+let recycle t ~flow ~config ~on_finish =
+  if not (quiescent t) then invalid_arg "Connection.recycle: not quiescent";
+  Config.validate config;
+  Net.Node.detach t.dst ~flow:t.flow;
+  Net.Node.detach t.src ~flow:t.flow;
+  t.config <- config;
+  t.flow <- flow;
+  Sender.reset t.sender config;
+  Receiver.reset t.receiver config;
+  t.started <- false;
+  t.data_packets_sent <- 0;
+  t.timer_fires <- 0;
+  t.delack_timeouts <- 0;
+  t.finished_at <- None;
+  t.on_finish <- on_finish;
+  t.drain_period <- drain_period_of config;
+  t.window_updates_sent <- 0;
+  Net.Node.attach t.dst ~flow t.on_data;
+  Net.Node.attach t.src ~flow t.on_ack
 
 let sender_name t = Sender.name t.sender
 

@@ -46,6 +46,34 @@ val create :
 (** [start t ~at] schedules connection start at absolute time [at]. *)
 val start : t -> at:float -> unit
 
+(** {2 Reuse}
+
+    A connection can carry several bounded transfers in turn, one at a
+    time, between the same two endpoints: a closed-loop workload keeps
+    one connection per user slot instead of building one per transfer
+    (see {!Workload.Flow_churn}). *)
+
+(** [quiescent t] is true once the current transfer has finished and
+    nothing of it can still run: no sender, delayed-ACK or
+    application-drain timer is armed, no end-of-instant flush is
+    registered and no acknowledgement is deferred. *)
+val quiescent : t -> bool
+
+(** [recycle t ~flow ~config ~on_finish] readies a quiescent [t] for a
+    new transfer under flow id [flow]: the sender and receiver are
+    reset in place ({!Sender.S.reset}, {!Receiver.reset}), the
+    counters read zero and [finished_at] is [None], and the endpoint
+    handlers move from the old flow id to [flow], so late packets of
+    the old flow strand. Endpoints, routes, [probe], [sketch], timer
+    cells and the sender variant are kept. Afterwards [t] behaves
+    exactly as [create] with the same arguments and the new [flow],
+    [config] and [on_finish] would; call {!start} to run it.
+
+    @raise Invalid_argument if [t] is not {!quiescent} or [config] is
+    invalid; [t] is then unchanged. *)
+val recycle :
+  t -> flow:int -> config:Config.t -> on_finish:(unit -> unit) -> unit
+
 (** Variant name of the sender. *)
 val sender_name : t -> string
 

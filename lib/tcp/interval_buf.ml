@@ -14,6 +14,8 @@ type t = {
 
 let create () = { firsts = Array.make 8 0; lasts = Array.make 8 0; n = 0 }
 
+let clear t = t.n <- 0
+
 let is_empty t = t.n = 0
 
 let cardinal t =

@@ -9,6 +9,9 @@ type t
 
 val create : unit -> t
 
+(** [clear t] empties [t], keeping its grown arrays. *)
+val clear : t -> unit
+
 val is_empty : t -> bool
 
 (** Total number of contained elements. *)

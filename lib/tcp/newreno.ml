@@ -4,6 +4,8 @@ type t = Newreno_core.t
 
 let create config = Newreno_core.create ~strategy:Newreno_core.default_strategy config
 
+let reset = Newreno_core.reset
+
 let start = Newreno_core.start
 
 let on_ack = Newreno_core.on_ack

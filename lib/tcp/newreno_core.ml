@@ -38,7 +38,7 @@ let rto_key = 0
 let td_key = 1
 
 type t = {
-  config : Config.t;
+  mutable config : Config.t;
   strategy : strategy;
   mutable cwnd : float;
   mutable ssthresh : float;
@@ -64,32 +64,60 @@ type t = {
   mutable n_timeouts : int;
 }
 
-let create ?(strategy = default_strategy) config =
+(* Returns [t] to its initial state under [config], in place. The
+   strategy is the variant's and survives; the hashtables are cleared,
+   keeping their grown bucket arrays (no code iterates them, so bucket
+   count never shows in behaviour). *)
+let reset t config =
   Config.validate config;
-  { config;
-    strategy;
-    cwnd = config.Config.initial_cwnd;
-    ssthresh = config.Config.initial_ssthresh;
-    snd_una = 0;
-    snd_next = 0;
-    dup_count = 0;
-    in_recovery = false;
-    recover = -1;
-    (* The sender shares [Config.t] with the receiver, so it knows the
-       initial window without a handshake. *)
-    rwnd_limit =
-      (match config.Config.rcv_buf_segments with
-      | Some n -> n
-      | None -> max_int);
-    rto = Rto.create config;
-    send_times = Hashtbl.create 256;
-    retransmitted = Hashtbl.create 64;
-    first_dup_at = 0.;
-    td_armed = false;
-    n_sent = 0;
-    n_retx = 0;
-    n_fast_retx = 0;
-    n_timeouts = 0 }
+  t.config <- config;
+  t.cwnd <- config.Config.initial_cwnd;
+  t.ssthresh <- config.Config.initial_ssthresh;
+  t.snd_una <- 0;
+  t.snd_next <- 0;
+  t.dup_count <- 0;
+  t.in_recovery <- false;
+  t.recover <- -1;
+  (* The sender shares [Config.t] with the receiver, so it knows the
+     initial window without a handshake. *)
+  t.rwnd_limit <-
+    (match config.Config.rcv_buf_segments with
+    | Some n -> n
+    | None -> max_int);
+  Rto.reset t.rto config;
+  Hashtbl.clear t.send_times;
+  Hashtbl.clear t.retransmitted;
+  t.first_dup_at <- 0.;
+  t.td_armed <- false;
+  t.n_sent <- 0;
+  t.n_retx <- 0;
+  t.n_fast_retx <- 0;
+  t.n_timeouts <- 0
+
+let create ?(strategy = default_strategy) config =
+  let t =
+    { config;
+      strategy;
+      cwnd = 0.;
+      ssthresh = 0.;
+      snd_una = 0;
+      snd_next = 0;
+      dup_count = 0;
+      in_recovery = false;
+      recover = -1;
+      rwnd_limit = max_int;
+      rto = Rto.create config;
+      send_times = Hashtbl.create 256;
+      retransmitted = Hashtbl.create 64;
+      first_dup_at = 0.;
+      td_armed = false;
+      n_sent = 0;
+      n_retx = 0;
+      n_fast_retx = 0;
+      n_timeouts = 0 }
+  in
+  reset t config;
+  t
 
 let cwnd t = t.cwnd
 

@@ -49,6 +49,11 @@ type t
 
 val create : ?strategy:strategy -> Config.t -> t
 
+(** [reset t config] returns [t] in place to the state
+    [create ~strategy config] builds, [strategy] being the one [t] was
+    created with (see {!Sender.S.reset}). *)
+val reset : t -> Config.t -> unit
+
 val start : t -> now:float -> Action_buffer.t -> unit
 
 val on_ack : t -> now:float -> Types.ack -> Action_buffer.t -> unit

@@ -13,7 +13,7 @@ type disposition =
 let recent_cap = Types.max_sack_blocks + 1
 
 type t = {
-  config : Config.t;
+  mutable config : Config.t;
   mutable rcv_next : int;
   out_of_order : Interval_buf.t;
   recent : int array;
@@ -38,11 +38,11 @@ type t = {
   (* Finite receive socket buffer — [None] (the default) is the paper's
      idealised unbounded sink and keeps every path below byte-identical
      to the seed. *)
-  buf : Rcv_buffer.t option;
+  mutable buf : Rcv_buffer.t option;
   (* [true] = the application reads in-order data the instant it
      arrives (no [rcv_app_rate]); in-order bytes then never occupy the
      buffer. *)
-  app_instant : bool;
+  mutable app_instant : bool;
   (* A zero window has been advertised and no later data-driven
      acknowledgement has reopened it; the app-drain timer keeps
      re-announcing the window while this is set, so a lost window
@@ -50,32 +50,51 @@ type t = {
   mutable zero_window_advertised : bool;
 }
 
-let create config =
+(* Returns [t] to its initial state under [config], in place, keeping
+   the reassembly arrays and histograms (cleared). A configured socket
+   buffer is rebuilt: it is host-stack state, off by default. *)
+let reset t config =
   Config.validate config;
-  let buf =
-    match config.Config.rcv_buf_segments with
+  t.config <- config;
+  t.rcv_next <- 0;
+  Interval_buf.clear t.out_of_order;
+  t.recent_len <- 0;
+  t.duplicates <- 0;
+  t.ack_deferred <- false;
+  t.serial <- 0;
+  Obs.Metrics.Histogram.reset t.reorder_depth;
+  Obs.Reorder.reset t.reorder;
+  t.buf <-
+    (match config.Config.rcv_buf_segments with
     | None -> None
     | Some capacity_segments ->
       Some
         (Rcv_buffer.create ~mss:config.Config.mss ~capacity_segments
            ~max_segments:config.Config.rcv_buf_max_segments
-           ~autotune:config.Config.rcv_autotune)
+           ~autotune:config.Config.rcv_autotune));
+  t.app_instant <- config.Config.rcv_app_rate = None;
+  t.zero_window_advertised <- false
+
+let create config =
+  let t =
+    { config;
+      rcv_next = 0;
+      out_of_order = Interval_buf.create ();
+      recent = Array.make recent_cap 0;
+      recent_len = 0;
+      block_first = Array.make Types.max_sack_blocks 0;
+      block_last = Array.make Types.max_sack_blocks 0;
+      duplicates = 0;
+      ack_deferred = false;
+      serial = 0;
+      reorder_depth = Obs.Metrics.Histogram.create ();
+      reorder = Obs.Reorder.create ();
+      buf = None;
+      app_instant = true;
+      zero_window_advertised = false }
   in
-  { config;
-    rcv_next = 0;
-    out_of_order = Interval_buf.create ();
-    recent = Array.make recent_cap 0;
-    recent_len = 0;
-    block_first = Array.make Types.max_sack_blocks 0;
-    block_last = Array.make Types.max_sack_blocks 0;
-    duplicates = 0;
-    ack_deferred = false;
-    serial = 0;
-    reorder_depth = Obs.Metrics.Histogram.create ();
-    reorder = Obs.Reorder.create ();
-    buf;
-    app_instant = config.Config.rcv_app_rate = None;
-    zero_window_advertised = false }
+  reset t config;
+  t
 
 let rcv_next t = t.rcv_next
 

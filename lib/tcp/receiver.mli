@@ -29,7 +29,13 @@ type disposition =
   | Defer of Types.ack
   | Drop of Types.ack
 
+(** [create config] allocates a receiver and {!reset}s it. *)
 val create : Config.t -> t
+
+(** [reset t config] returns [t] in place to the state [create config]
+    builds: nothing received, counters and reordering metrics zeroed,
+    grown reassembly arrays kept. *)
+val reset : t -> Config.t -> unit
 
 (** [receive t ?retx ?now ~seq ()] registers arrival of segment [seq],
     echoing [retx] back to the sender (see {!Types.ack}). With

@@ -11,6 +11,10 @@ type t
 
 val create : Config.t -> t
 
+(** [reset t config] returns [t] in place to the state [create config]
+    builds: no sample, no back-off. *)
+val reset : t -> Config.t -> unit
+
 (** [sample t rtt] folds a round-trip-time measurement in. *)
 val sample : t -> float -> unit
 

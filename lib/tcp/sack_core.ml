@@ -87,7 +87,7 @@ let rack_deadline_ = 10
 let fs_slots = 11
 
 type t = {
-  config : Config.t;
+  mutable config : Config.t;
   response : response;
   trigger : trigger;
   (* TCP-DOOR: react to out-of-order ACK delivery (detected through the
@@ -131,15 +131,22 @@ let fget t i = Float.Array.unsafe_get t.fs i
 
 let fset t i v = Float.Array.unsafe_set t.fs i v
 
-let create ?(response = plain_sack) ?(trigger = Immediate) ?(door = false)
-    config =
+(* Returns [t] to its initial state under [config], in place. The
+   response, trigger and TCP-DOOR switch are the variant's and survive;
+   the hashtables are cleared, keeping their grown bucket arrays (the
+   one fold over [retx_events] only collects keys to remove, so bucket
+   order never shows in behaviour). *)
+let reset t config =
   Config.validate config;
-  let fs = Float.Array.make fs_slots 0. in
+  t.config <- config;
+  let fs = t.fs in
   Float.Array.unsafe_set fs cwnd_ config.Config.initial_cwnd;
   Float.Array.unsafe_set fs ssthresh_ config.Config.initial_ssthresh;
   Float.Array.unsafe_set fs dupthresh_ewma_
     (float_of_int config.Config.dupthresh);
   Float.Array.unsafe_set fs cwnd_prior_ config.Config.initial_cwnd;
+  Float.Array.unsafe_set fs first_dup_at_ 0.;
+  Float.Array.unsafe_set fs episode_dt_ 0.;
   (* RACK: send time of the most recently transmitted packet known
      delivered; the reordering window starts at RTT/4 (RFC 8985). *)
   Float.Array.unsafe_set fs rack_xmit_time_ neg_infinity;
@@ -147,39 +154,69 @@ let create ?(response = plain_sack) ?(trigger = Immediate) ?(door = false)
   Float.Array.unsafe_set fs freeze_until_ neg_infinity;
   Float.Array.unsafe_set fs last_reduction_at_ neg_infinity;
   Float.Array.unsafe_set fs rack_deadline_ infinity;
-  { config;
-    response;
-    trigger;
-    door;
-    fs;
-    snd_una = 0;
-    snd_next = 0;
-    dupthresh = config.Config.dupthresh;
-    in_recovery = false;
-    recovery_point = -1;
-    sacked = Intervals.empty;
-    lost_pending = Intervals.empty;
-    retx_out = Intervals.empty;
-    episode_dups = 0;
-    td_armed = false;
-    (* The sender shares [Config.t] with the receiver, so it knows the
-       initial window without a handshake. *)
-    rwnd_limit =
-      (match config.Config.rcv_buf_segments with
-      | Some n -> n
-      | None -> max_int);
-    last_serial = -1;
-    n_ooo_events = 0;
-    rto = Rto.create config;
-    rto_armed = false;
-    send_times = Hashtbl.create 256;
-    ever_retransmitted = Hashtbl.create 64;
-    retx_events = Hashtbl.create 64;
-    n_sent = 0;
-    n_retx = 0;
-    n_fast_retx = 0;
-    n_timeouts = 0;
-    n_spurious = 0 }
+  t.snd_una <- 0;
+  t.snd_next <- 0;
+  t.dupthresh <- config.Config.dupthresh;
+  t.in_recovery <- false;
+  t.recovery_point <- -1;
+  t.sacked <- Intervals.empty;
+  t.lost_pending <- Intervals.empty;
+  t.retx_out <- Intervals.empty;
+  t.episode_dups <- 0;
+  t.td_armed <- false;
+  (* The sender shares [Config.t] with the receiver, so it knows the
+     initial window without a handshake. *)
+  t.rwnd_limit <-
+    (match config.Config.rcv_buf_segments with
+    | Some n -> n
+    | None -> max_int);
+  t.last_serial <- -1;
+  t.n_ooo_events <- 0;
+  Rto.reset t.rto config;
+  t.rto_armed <- false;
+  Hashtbl.clear t.send_times;
+  Hashtbl.clear t.ever_retransmitted;
+  Hashtbl.clear t.retx_events;
+  t.n_sent <- 0;
+  t.n_retx <- 0;
+  t.n_fast_retx <- 0;
+  t.n_timeouts <- 0;
+  t.n_spurious <- 0
+
+let create ?(response = plain_sack) ?(trigger = Immediate) ?(door = false)
+    config =
+  let t =
+    { config;
+      response;
+      trigger;
+      door;
+      fs = Float.Array.make fs_slots 0.;
+      snd_una = 0;
+      snd_next = 0;
+      dupthresh = 0;
+      in_recovery = false;
+      recovery_point = -1;
+      sacked = Intervals.empty;
+      lost_pending = Intervals.empty;
+      retx_out = Intervals.empty;
+      episode_dups = 0;
+      td_armed = false;
+      rwnd_limit = max_int;
+      last_serial = -1;
+      n_ooo_events = 0;
+      rto = Rto.create config;
+      rto_armed = false;
+      send_times = Hashtbl.create 256;
+      ever_retransmitted = Hashtbl.create 64;
+      retx_events = Hashtbl.create 64;
+      n_sent = 0;
+      n_retx = 0;
+      n_fast_retx = 0;
+      n_timeouts = 0;
+      n_spurious = 0 }
+  in
+  reset t config;
+  t
 
 let cwnd t = fget t cwnd_
 

@@ -83,6 +83,11 @@ type t
 val create :
   ?response:response -> ?trigger:trigger -> ?door:bool -> Config.t -> t
 
+(** [reset t config] returns [t] in place to the state [create config]
+    builds with the response, trigger and [door] [t] was created with
+    (see {!Sender.S.reset}). *)
+val reset : t -> Config.t -> unit
+
 val start : t -> now:float -> Action_buffer.t -> unit
 
 val on_ack : t -> now:float -> Types.ack -> Action_buffer.t -> unit

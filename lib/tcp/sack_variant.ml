@@ -9,6 +9,8 @@ end) : Sender.S = struct
 
   let create config = Sack_core.create ~response:P.response config
 
+  let reset = Sack_core.reset
+
   let start = Sack_core.start
 
   let on_ack = Sack_core.on_ack

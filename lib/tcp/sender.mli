@@ -17,7 +17,15 @@ module type S = sig
 
   type t
 
+  (** [create config] allocates a sender and {!reset}s it. *)
   val create : Config.t -> t
+
+  (** [reset t config] returns [t] in place to the state [create config]
+      would build — same actions, window, counters and metrics from
+      then on — while keeping whatever buffers earlier use grew. Lets
+      a long-lived connection slot run transfer after transfer without
+      reallocating its sender. *)
+  val reset : t -> Config.t -> unit
 
   (** [start t ~now buf] opens the connection: typically sends the
       initial window and arms the retransmission timer. *)
@@ -56,6 +64,8 @@ type packed = Packed : (module S with type t = 'a) * 'a -> packed
 val pack : (module S) -> Config.t -> packed
 
 val name : packed -> string
+
+val reset : packed -> Config.t -> unit
 
 val start : packed -> now:float -> Action_buffer.t -> unit
 

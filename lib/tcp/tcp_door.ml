@@ -4,6 +4,8 @@ type t = Sack_core.t
 
 let create config = Sack_core.create ~response:Sack_core.plain_sack ~door:true config
 
+let reset = Sack_core.reset
+
 let start = Sack_core.start
 
 let on_ack = Sack_core.on_ack

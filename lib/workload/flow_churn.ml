@@ -54,11 +54,15 @@ type t = {
      any other consumer of randomness) never perturbs the sequence a
      given slot sees. *)
   slot_rngs : Sim.Rng.t array;
+  (* The connection each slot owns, built at the slot's first transfer
+     and recycled for the later ones. *)
+  conns : Tcp.Connection.t option array;
   probe : Tcp.Probe.t option;
   mutable next_flow : int;
   mutable started : int;
   mutable completed : int;
   mutable segments_completed : int;
+  mutable connections_built : int;
   transfer_segments : Obs.Metrics.Histogram.t;
   transfer_ms : Obs.Metrics.Histogram.t;
 }
@@ -78,10 +82,15 @@ let bounded_pareto rng ~alpha ~lo ~hi =
   end
 
 (* Each slot runs a closed loop forever: think (exponential), transfer
-   (bounded-Pareto size), repeat. Every transfer is a fresh connection
-   under a globally fresh flow id; both endpoints are detached on
-   completion so finished transfers can be collected, and any packet of
-   a finished flow still in flight strands harmlessly at its endpoint. *)
+   (bounded-Pareto size), repeat. Every transfer runs under a globally
+   fresh flow id, on the connection the slot owns: once a transfer
+   finishes, both endpoints detach its flow id, so any of its packets
+   still in flight strand harmlessly, and the next transfer recycles
+   the connection in place (see {!Tcp.Connection.recycle}). Recycling
+   needs a quiescent connection — finished, no timer armed, no flush or
+   ACK pending. A connection still busy when its slot wakes (say, an
+   application-drain timer winding down a host-stack receive buffer) is
+   left to finish on its own, and the slot builds a new one. *)
 let rec start_transfer t slot =
   let rng = t.slot_rngs.(slot) in
   let pairs = Array.length t.ep.sources in
@@ -112,11 +121,21 @@ let rec start_transfer t slot =
     think_then_restart t slot
   in
   let c =
-    Tcp.Connection.create ~on_finish ?probe:t.probe t.ep.network ~flow ~src
-      ~dst ~sender:t.sender ~config
-      ~route_data:(fun () -> t.ep.route_data pair)
-      ~route_ack:(fun () -> t.ep.route_ack pair)
-      ()
+    match t.conns.(slot) with
+    | Some c when Tcp.Connection.quiescent c ->
+      Tcp.Connection.recycle c ~flow ~config ~on_finish;
+      c
+    | Some _ | None ->
+      t.connections_built <- t.connections_built + 1;
+      let c =
+        Tcp.Connection.create ~on_finish ?probe:t.probe t.ep.network ~flow
+          ~src ~dst ~sender:t.sender ~config
+          ~route_data:(fun () -> t.ep.route_data pair)
+          ~route_ack:(fun () -> t.ep.route_ack pair)
+          ()
+      in
+      t.conns.(slot) <- Some c;
+      c
   in
   Tcp.Connection.start c ~at:born
 
@@ -143,11 +162,13 @@ let spawn_endpoints ep ~sender ~config ~churn ~rngs ?(flow_base = 0) ?probe () =
       base_config = config;
       churn;
       slot_rngs = rngs;
+      conns = Array.make churn.flows None;
       probe;
       next_flow = flow_base;
       started = 0;
       completed = 0;
       segments_completed = 0;
+      connections_built = 0;
       transfer_segments = Obs.Metrics.Histogram.create ();
       transfer_ms = Obs.Metrics.Histogram.create () }
   in
@@ -189,6 +210,8 @@ let bytes_completed t = t.segments_completed * t.base_config.Tcp.Config.mss
 let active t = t.started - t.completed
 
 let flows t = t.churn.flows
+
+let connections_built t = t.connections_built
 
 let transfer_segments t = t.transfer_segments
 

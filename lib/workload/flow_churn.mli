@@ -8,10 +8,21 @@
     regime the timer wheel exists for: every in-flight packet of every
     active flow arms and cancels retransmission timers.
 
+    Each slot owns one {!Tcp.Connection.t} for the whole run and runs
+    its transfers on it in turn: a new transfer {!Tcp.Connection.recycle}s
+    the connection in place, so per-flow state (sender rings, receiver
+    reassembly and reordering histograms, timer cells) is allocated
+    once per slot, not once per transfer. Only a quiescent connection
+    is recycled — finished, with no timer armed and no flush or
+    acknowledgement pending ({!Tcp.Connection.quiescent}); a slot whose
+    connection is still winding down (e.g. a host-stack application
+    reader draining its socket) builds a fresh one instead. Either way
+    the run is the same.
+
     Determinism: each slot draws from its own {!Sim.Rng} stream (split
     from the caller's by slot index), and every transfer runs under a
-    globally fresh flow id; finished transfers detach both endpoints,
-    so late in-flight packets of a finished flow strand (and are
+    globally fresh flow id; a finished transfer detaches its flow id
+    from both endpoints, so its late in-flight packets strand (and are
     counted) rather than leaking into a successor. Repeating a run with
     the same seed reproduces every arrival, size and flow id
     exactly. *)
@@ -88,6 +99,11 @@ val spawn_endpoints :
 val slot_rngs : Sim.Rng.t -> flows:int -> Sim.Rng.t array
 
 val flows : t -> int
+
+(** Connections built so far ({!Tcp.Connection.create} calls): one per
+    slot that has started a transfer, plus one for every transfer that
+    found its slot's connection not yet quiescent. *)
+val connections_built : t -> int
 
 (** Transfers started (including the ones still active). *)
 val transfers_started : t -> int

@@ -327,6 +327,54 @@ let test_rto_cycle_zero_alloc () =
     Alcotest.failf "RTO fire/re-arm cycle allocated %.0f minor words over %d fires"
       delta (!fires - fires0)
 
+(* --- minor words per churn transfer ------------------------------------
+
+   Closed-loop churn ([Experiments.Scale]'s dumbbell and default churn,
+   200 TCP-PR slots): every slot owns one connection and recycles it
+   per transfer, so after the ramp a transfer allocates only its
+   configuration record, its packets' ACK records and event blocks —
+   not a sender, receiver and histograms (~950 words when every
+   transfer built a fresh connection). Measured over simulated seconds
+   1-2, once every slot has its connection: 728 words per transfer with
+   recycling, 1690 when every transfer built its connection. The
+   budget leaves ~10% headroom over the former for compiler drift and
+   none for a per-transfer connection coming back. *)
+
+let churn_words_budget = 800.
+
+let churn_words_per_transfer () =
+  let flows = 200 in
+  let engine = Sim.Engine.create ~timer_granularity:1e-3 () in
+  let dumbbell =
+    Topo.Dumbbell.create engine ~pairs:32
+      ~bottleneck_bandwidth_bps:(float_of_int flows *. 1e6)
+      ~bottleneck_delay_s:0.020 ~access_bandwidth_bps:100e6
+      ~access_delay_s:0.001 ~queue_capacity:100 ~access_queue_capacity:200 ()
+  in
+  let churn = Experiments.Scale.default_churn ~flows ~duration:2. in
+  let w =
+    Workload.Flow_churn.spawn dumbbell ~sender:(snd Experiments.Variants.tcp_pr)
+      ~config:Experiments.Scale.default_config ~churn ~rng:(Sim.Rng.create 3)
+      ()
+  in
+  Sim.Engine.run engine ~until:1.;
+  Gc.full_major ();
+  let completed0 = Workload.Flow_churn.transfers_completed w in
+  let words0 = Gc.minor_words () in
+  Sim.Engine.run engine ~until:2.;
+  let words = Gc.minor_words () -. words0 in
+  let transfers = Workload.Flow_churn.transfers_completed w - completed0 in
+  Alcotest.(check bool) "measured phase completed transfers" true
+    (transfers > 100);
+  words /. float_of_int transfers
+
+let test_churn_words_per_transfer () =
+  let w = churn_words_per_transfer () in
+  if w > churn_words_budget then
+    Alcotest.failf
+      "churn: %.0f minor words per completed transfer exceeds the %.0f budget"
+      w churn_words_budget
+
 let () =
   Alcotest.run "alloc"
     [ ( "bytes-per-packet",
@@ -337,6 +385,9 @@ let () =
       ( "bytes-per-ack",
         [ Alcotest.test_case "TCP-SACK ceiling" `Quick test_ack_budget_sack;
           Alcotest.test_case "TCP-PR ceiling" `Quick test_ack_budget_tcp_pr ] );
+      ( "churn",
+        [ Alcotest.test_case "minor words per transfer" `Quick
+            test_churn_words_per_transfer ] );
       ( "rto-cycle",
         [ Alcotest.test_case "zero minor allocation" `Quick
             test_rto_cycle_zero_alloc ] ) ]

@@ -223,6 +223,119 @@ let test_churn_validation () =
         { base with Workload.Flow_churn.min_segments = 8; max_segments = 4 } )
     ]
 
+(* Per-variant churn pins: (started, completed, segments, events, timer
+   arms, cancels, fires) of [Scale.run ~seed:3 ~flows:200 ~duration:2.],
+   recorded when every transfer still built a fresh connection. Slots
+   now recycle their connection between transfers; these pin that the
+   simulated run did not move, for every variant, in three regimes:
+   the default churn; a lossy one (a 40-segment initial window
+   overflows the bottleneck queue, so recovery state is dirty when a
+   connection is recycled); and a host-stack one with a slow
+   application reader and no think time, where connections are often
+   still draining when their slot wakes, so the fallback to a fresh
+   connection is taken too. *)
+let churn_pin_scenarios =
+  let default = Experiments.Scale.default_churn ~flows:200 ~duration:2. in
+  let sack_family counts =
+    List.map
+      (fun label -> (label, counts))
+      [ "TCP-SACK"; "TD-FR"; "DSACK-NM"; "Inc by 1"; "Inc by N"; "EWMA";
+        "Eifel"; "TCP-DOOR" ]
+  in
+  let newreno_family counts =
+    List.map (fun label -> (label, counts)) [ "Tahoe"; "Reno"; "NewReno" ]
+  in
+  [ ( "default",
+      Experiments.Scale.default_config,
+      default,
+      sack_family (638, 494, 5143, 60229, 6904, 5889, 767)
+      @ newreno_family (638, 494, 5143, 60229, 6904, 5889, 767)
+      @ [ ("TCP-PR", (645, 499, 5457, 61441, 7022, 5992, 771));
+          ("RACK", (642, 499, 5034, 60433, 8794, 7622, 885)) ] );
+    ( "lossy",
+      { Experiments.Scale.default_config with Tcp.Config.initial_cwnd = 40. },
+      { default with
+        Workload.Flow_churn.mean_think_s = 0.02;
+        max_segments = 512 },
+      sack_family (1916, 1738, 21860, 227430, 25246, 23644, 1348)
+      @ [ ("Tahoe", (2361, 2196, 27164, 280180, 30844, 28803, 1769));
+          ("Reno", (2372, 2204, 27549, 280378, 30813, 28767, 1769));
+          ("NewReno", (2367, 2196, 27404, 278442, 30578, 28540, 1758));
+          ("TCP-PR", (2689, 2524, 30916, 318263, 35026, 33620, 1155));
+          ("RACK", (2201, 2019, 25452, 259780, 34899, 31084, 3527)) ] );
+    ( "host-stack",
+      { Experiments.Scale.default_config with
+        Tcp.Config.initial_cwnd = 2.;
+        rcv_buf_segments = Some 16;
+        rcv_app_rate = Some 100. },
+      { default with Workload.Flow_churn.mean_think_s = 0.; max_segments = 64 },
+      sack_family (1660, 1460, 13273, 159887, 31093, 14841, 15859)
+      @ newreno_family (1660, 1460, 13273, 159887, 31093, 14841, 15859)
+      @ [ ("TCP-PR", (2029, 1829, 16680, 196552, 38305, 19087, 18848));
+          ("RACK", (1916, 1716, 15168, 201887, 38962, 18231, 20317)) ] ) ]
+
+let churn_pin_run ~config ~churn variant =
+  Experiments.Scale.run ~seed:3 ~sender:variant ~config ~churn ~flows:200
+    ~duration:2. ()
+
+let test_churn_variant_pins () =
+  List.iter
+    (fun (scenario, config, churn, pins) ->
+      Alcotest.(check int)
+        (scenario ^ ": one pin per variant")
+        (List.length Experiments.Variants.all)
+        (List.length pins);
+      List.iter
+        (fun ((label, _) as variant) ->
+          let r = churn_pin_run ~config ~churn variant in
+          let got =
+            ( r.Experiments.Scale.transfers_started,
+              r.transfers_completed,
+              r.segments_completed,
+              r.events_executed,
+              r.timer_arms,
+              r.timer_cancels,
+              r.timer_fires )
+          in
+          Alcotest.(check (pair int (pair int (pair int (pair int (pair int (pair int int)))))))
+            (scenario ^ " " ^ label)
+            (let a, b, c, d, e, f, g = List.assoc label pins in
+             (a, (b, (c, (d, (e, (f, g)))))))
+            (let a, b, c, d, e, f, g = got in
+             (a, (b, (c, (d, (e, (f, g))))))))
+        Experiments.Variants.all)
+    churn_pin_scenarios
+
+(* The recycling fast path must actually be taken: under the default
+   churn every slot builds its connection once and recycles it for
+   every later transfer, for every variant. A quiescence check that
+   always failed would pass the pins above through the fallback and
+   show here. The host-stack regime must take the fallback too, or the
+   pins would not cover it. *)
+let test_churn_fast_path () =
+  let _, config, churn, _ = List.hd churn_pin_scenarios in
+  let churn =
+    Experiments.Scale.default_churn ~flows:churn.Workload.Flow_churn.flows
+      ~duration:2.
+  in
+  List.iter
+    (fun ((label, _) as variant) ->
+      let w = (churn_pin_run ~config ~churn variant).Experiments.Scale.workload in
+      Alcotest.(check int)
+        (label ^ ": one connection per slot")
+        (min (Workload.Flow_churn.flows w)
+           (Workload.Flow_churn.transfers_started w))
+        (Workload.Flow_churn.connections_built w))
+    Experiments.Variants.all;
+  let _, config, churn, _ = List.nth churn_pin_scenarios 2 in
+  let w =
+    (churn_pin_run ~config ~churn Experiments.Variants.tcp_pr)
+      .Experiments.Scale.workload
+  in
+  Alcotest.(check bool)
+    "host-stack churn falls back to fresh connections" true
+    (Workload.Flow_churn.connections_built w > Workload.Flow_churn.flows w)
+
 (* --- Adversary controller (closed-loop reordering dial) ------------ *)
 
 let test_adversary_validation () =
@@ -347,7 +460,10 @@ let () =
             test_churn_seed_changes_run;
           Alcotest.test_case "population invariants" `Quick
             test_churn_population_invariants;
-          Alcotest.test_case "validation" `Quick test_churn_validation ] );
+          Alcotest.test_case "validation" `Quick test_churn_validation;
+          Alcotest.test_case "per-variant pins" `Quick test_churn_variant_pins;
+          Alcotest.test_case "slots recycle their connection" `Quick
+            test_churn_fast_path ] );
       ( "adversary",
         [ Alcotest.test_case "validation" `Quick test_adversary_validation;
           Alcotest.test_case "log-space step and clamps" `Quick
