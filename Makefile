@@ -21,24 +21,19 @@ bench-record:
 	dune exec bench/main.exe 2>&1 | tee bench_output.txt
 
 # Quick perf snapshot: bench-scale Figs. 2/3/6, the bechamel
-# micro-benchmarks, the allocation suite (bytes/packet and the PR 8
-# bytes/ACK sweep across all sender variants), the many-flow scale
-# suite and the engine-only churn suite; records wall-clock, ns/run,
-# bytes/simulated-packet, bytes/ACK, events/sec and metrics snapshots
-# in BENCH_PR9.json (repo root and results/). BENCH_JOBS=N
-# parallelises the figure grids.
+# micro-benchmarks, the allocation suite (bytes/packet and bytes/ACK
+# across all sender variants), the many-flow scale suite, the
+# engine-only churn suite and the sharded sweep. Prints only; the
+# allocation quotients are pinned by test/test_alloc.ml under
+# `dune runtest`. BENCH_JOBS=N parallelises the figure grids.
 bench-quick:
 	dune exec bench/main.exe -- quick
 
-# Perf gate only: re-measure bytes/simulated-packet (fail if any
-# scenario exceeds the recorded baseline by more than the 16 B/packet
-# budget), bytes/ACK per sender variant (fail if any variant exceeds
-# its recorded baseline by more than 16 B/ACK), the events/sec
-# scaling floor at 10k vs 1k flows, the raw engine events/sec floor
-# (each engine-churn scenario must hold >= 0.7x its recorded rate),
-# and the sharded scaling floor (4-domain events/sec >= 1.8x
-# 1-domain; skipped below 4 cores). Baselines come from the newest
-# BENCH_PR*.json carrying each block. Does not rewrite the records.
+# Same-run perf gate: the events/sec scaling floor at 10k vs 1k flows
+# and the sharded scaling floor (4-domain events/sec >= 1.8x 1-domain;
+# skipped below 4 cores). Each stage compares two measurements from
+# the same run on the same machine. Allocation is gated exactly by
+# `dune runtest` (test/test_alloc.ml); wall-clock A/B is `make perf-ab`.
 bench-gate:
 	dune exec bench/main.exe -- gate
 
@@ -55,8 +50,9 @@ lint-box:
 # throwaway git worktree under _build/, runs WORKLOAD with
 # `perfbench/run.py` on base and head over seeds 1..PAIRS (swapping
 # which side runs first each pair), and prints each metric's medians,
-# head/base ratio, pairs won and ranges (exit 1 if any run reports
-# correct: false). E.g.
+# head/base ratio, pairs won, whether the head median is worse than
+# the metric's BENCHMARK.json bound allows, and ranges (exit 1 if any
+# run reports correct: false). E.g.
 #   make perf-ab BASE=HEAD WORKLOAD=churn-10k PAIRS=3 SECONDS=30
 PAIRS ?= 3
 SECONDS ?= 30
@@ -141,15 +137,14 @@ coverage-summary:
 	fi
 
 # Full gate: build everything, run the test suite (which includes the
-# Gc-delta bytes/packet ceilings in test_alloc), a conformance smoke
-# run — fixed random scenarios over every sender variant with the
-# invariant monitors armed, plus the golden-trace digests — the
-# many-flow scale smoke, the sharded merge smoke, the host-stack and
-# adaptive-adversary smokes, and the perf
-# regression gate (allocation budget + events/sec scaling floor + raw
-# engine events/sec floor + sharded scaling floor) against the
-# recorded BENCH_PR*.json lineage, then the non-fatal float-boxing
-# lint over the scheduling core.
+# pinned bytes/packet, bytes/ACK and bytes/event readings of
+# test_alloc), a conformance smoke run — fixed random scenarios over
+# every sender variant with the invariant monitors armed, plus the
+# golden-trace digests — the many-flow scale smoke, the sharded merge
+# smoke, the host-stack and adaptive-adversary smokes, and the
+# same-run perf gate (events/sec scaling floor + sharded scaling
+# floor), then the non-fatal float-boxing lint over the scheduling
+# core.
 ci:
 	dune build @all
 	dune runtest

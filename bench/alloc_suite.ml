@@ -4,8 +4,8 @@
    packets directly off the links: a "simulated packet" here is one
    link-level transmission or drop (a packet-hop), the unit the hot
    path pays for. The suite reports wall-clock, GC-allocated bytes,
-   minor collections, and bytes per simulated packet — the number the
-   bench gate tracks across PRs.
+   minor collections, and bytes per simulated packet. `bench/main.exe
+   alloc` prints them; test/test_alloc.ml pins every quotient.
 
    Every scenario warms up with a throwaway transfer before the
    measured phase: construction and first-use costs (topology, pools
@@ -25,9 +25,6 @@ type measurement = {
   minor_collections : int;
   packets : int;
   bytes_per_packet : float;
-  metrics_json : string;
-      (* network-layer registry snapshot, collected after the GC
-         deltas are read so collection cost never pollutes them *)
 }
 
 (* A scenario is a warmed-up simulation plus the phase left to run:
@@ -66,17 +63,13 @@ let measure scenario f =
   Gc.minor ();
   let allocated_bytes = Gc.allocated_bytes () -. bytes0 in
   let packets = count_packets s.network - packets0 in
-  let registry = Obs.Registry.create () in
-  Check.Telemetry.network registry s.network
-    ~now:(Sim.Engine.now (Net.Network.engine s.network));
   { scenario;
     wall_s;
     allocated_bytes;
     minor_collections;
     packets;
     bytes_per_packet =
-      (if packets = 0 then 0. else allocated_bytes /. float_of_int packets);
-    metrics_json = Obs.Export.to_json registry }
+      (if packets = 0 then 0. else allocated_bytes /. float_of_int packets) }
 
 let bounded_config segments =
   { Tcp.Config.default with
@@ -88,24 +81,46 @@ let bounded_config segments =
 (* Two competing flows (TCP-PR vs TCP-SACK) through a 1.5 Mb/s
    dumbbell bottleneck: the fig. 2/3 regime, fixed single-path routes.
    The warmup transfer is an identical pair of flows run to completion
-   first; the measured pair then starts on the already-warm network. *)
-let dumbbell_scenario () =
+   first; the measured pair then starts on the already-warm network.
+
+   [~host_stack:true] is the host-stack layer (DESIGN.md §16) at full
+   tilt on the same pair: a finite autotuned receive buffer, a paced
+   application reader (which keeps the app-drain timer and the
+   window-reopen path hot) and GRO coalescing on the sink's ingress
+   links. It charges the whole enabled path — admission accounting,
+   rwnd clamping, coalesced burst delivery, persist re-arms — per
+   packet-hop. *)
+let dumbbell_scenario ?(host_stack = false) () =
   let engine = Sim.Engine.create () in
   let topo =
     Topo.Dumbbell.create engine ~bottleneck_bandwidth_bps:1.5e6
       ~queue_capacity:10 ()
   in
   let network = topo.Topo.Dumbbell.network in
-  let config = bounded_config 600 in
-  let connect flow sender =
-    Tcp.Connection.create network ~flow ~src:topo.Topo.Dumbbell.sources.(0)
-      ~dst:topo.Topo.Dumbbell.sinks.(0) ~sender ~config
-      ~route_data:(fun () -> Topo.Dumbbell.route_forward topo ~pair:0)
-      ~route_ack:(fun () -> Topo.Dumbbell.route_reverse topo ~pair:0)
-      ()
+  let config =
+    if not host_stack then bounded_config 600
+    else begin
+      let sink = Net.Node.id topo.Topo.Dumbbell.sinks.(0) in
+      List.iter
+        (fun link ->
+          if Net.Link.dst link = sink then
+            Net.Link.set_coalescing link ~timer_s:0.001 ~max_burst:4)
+        (Net.Network.links network);
+      { (bounded_config 600) with
+        Tcp.Config.rcv_buf_segments = Some 32;
+        rcv_buf_max_segments = 64;
+        rcv_autotune = true;
+        rcv_app_rate = Some 100. }
+    end
   in
   let start ~at flow sender =
-    let c = connect flow sender in
+    let c =
+      Tcp.Connection.create network ~flow ~src:topo.Topo.Dumbbell.sources.(0)
+        ~dst:topo.Topo.Dumbbell.sinks.(0) ~sender ~config
+        ~route_data:(fun () -> Topo.Dumbbell.route_forward topo ~pair:0)
+        ~route_ack:(fun () -> Topo.Dumbbell.route_reverse topo ~pair:0)
+        ()
+    in
     Tcp.Connection.start c ~at
   in
   start ~at:0. 0 (snd Experiments.Variants.tcp_pr);
@@ -117,8 +132,15 @@ let dumbbell_scenario () =
 
 (* Epsilon-routed multipath lattice at eps = 0 (uniform path choice,
    maximal persistent reordering): the fig. 6 regime. One throwaway
-   transfer first, then an identical measured one. *)
-let lattice_scenario () =
+   transfer first, then an identical measured one.
+
+   With [~sketch] it is the reordering analytics (DESIGN.md §17) at
+   full tilt: the always-on streaming RFC 4737 instance in the receiver
+   AND the sketch detector tapping every data arrival at the
+   connection. The traffic is identical, so any difference between the
+   two quotients is the sketch's own per-packet cost — which must be
+   zero. *)
+let lattice_scenario ?sketch () =
   let engine = Sim.Engine.create () in
   let topo = Topo.Multipath_lattice.create engine ~path_hops:[ 2; 3; 4 ] () in
   let network = topo.Topo.Multipath_lattice.network in
@@ -131,7 +153,7 @@ let lattice_scenario () =
     let fwd = sampler (Printf.sprintf "fwd-%d" flow)
     and rev = sampler (Printf.sprintf "rev-%d" flow) in
     let connection =
-      Tcp.Connection.create network ~flow
+      Tcp.Connection.create ?sketch network ~flow
         ~src:topo.Topo.Multipath_lattice.source
         ~dst:topo.Topo.Multipath_lattice.destination
         ~sender:(snd Experiments.Variants.tcp_pr)
@@ -190,96 +212,13 @@ let jitter_scenario () =
   Sim.Engine.run engine ~until:3.;
   { network; measured = (fun () -> Sim.Engine.run engine ~until:15.) }
 
-(* The PR10 reordering analytics at full tilt: the lattice scenario
-   with the always-on streaming RFC 4737 instance in the receiver AND
-   the sketch detector tapping every data arrival at the connection.
-   Identical traffic to "lattice", so the difference between the two
-   quotients is the analytics' own per-packet cost — which must be
-   indistinguishable from zero under the gate budget. *)
-let analytics_scenario () =
-  let engine = Sim.Engine.create () in
-  let topo = Topo.Multipath_lattice.create engine ~path_hops:[ 2; 3; 4 ] () in
-  let network = topo.Topo.Multipath_lattice.network in
-  let rng = Sim.Rng.create 42 in
-  let sketch = Obs.Reorder_sketch.create () in
-  let sampler label =
-    Multipath.Epsilon_routing.for_lattice (Sim.Rng.split rng label)
-      ~epsilon:0. topo
-  in
-  let start ~at flow =
-    let fwd = sampler (Printf.sprintf "fwd-%d" flow)
-    and rev = sampler (Printf.sprintf "rev-%d" flow) in
-    let connection =
-      Tcp.Connection.create ~sketch network ~flow
-        ~src:topo.Topo.Multipath_lattice.source
-        ~dst:topo.Topo.Multipath_lattice.destination
-        ~sender:(snd Experiments.Variants.tcp_pr)
-        ~config:(bounded_config 600)
-        ~route_data:(fun () ->
-          Multipath.Epsilon_routing.route fwd
-            topo.Topo.Multipath_lattice.forward_routes)
-        ~route_ack:(fun () ->
-          Multipath.Epsilon_routing.route rev
-            topo.Topo.Multipath_lattice.reverse_routes)
-        ()
-    in
-    Tcp.Connection.start connection ~at
-  in
-  start ~at:0. 0;
-  Sim.Engine.run engine ~until:120.;
-  start ~at:120. 1;
-  { network; measured = (fun () -> Sim.Engine.run engine ~until:240.) }
-
-(* The PR9 host-stack layer at full tilt: the dumbbell pair with a
-   finite autotuned receive buffer, a paced application reader (which
-   keeps the app-drain timer and the window-reopen path hot) and GRO
-   coalescing on the sink's ingress links. Charges the whole enabled
-   path — admission accounting, rwnd clamping, coalesced burst
-   delivery, persist re-arms — per packet-hop, under the same 16
-   B/packet gate budget as the idealised scenarios. *)
-let hoststack_scenario () =
-  let engine = Sim.Engine.create () in
-  let topo =
-    Topo.Dumbbell.create engine ~bottleneck_bandwidth_bps:1.5e6
-      ~queue_capacity:10 ()
-  in
-  let network = topo.Topo.Dumbbell.network in
-  let sink = Net.Node.id topo.Topo.Dumbbell.sinks.(0) in
-  List.iter
-    (fun link ->
-      if Net.Link.dst link = sink then
-        Net.Link.set_coalescing link ~timer_s:0.001 ~max_burst:4)
-    (Net.Network.links network);
-  let config =
-    { (bounded_config 600) with
-      Tcp.Config.rcv_buf_segments = Some 32;
-      rcv_buf_max_segments = 64;
-      rcv_autotune = true;
-      rcv_app_rate = Some 100. }
-  in
-  let start ~at flow sender =
-    let c =
-      Tcp.Connection.create network ~flow ~src:topo.Topo.Dumbbell.sources.(0)
-        ~dst:topo.Topo.Dumbbell.sinks.(0) ~sender ~config
-        ~route_data:(fun () -> Topo.Dumbbell.route_forward topo ~pair:0)
-        ~route_ack:(fun () -> Topo.Dumbbell.route_reverse topo ~pair:0)
-        ()
-    in
-    Tcp.Connection.start c ~at
-  in
-  start ~at:0. 0 (snd Experiments.Variants.tcp_pr);
-  start ~at:0.05 1 (snd Experiments.Variants.tcp_sack);
-  Sim.Engine.run engine ~until:120.;
-  start ~at:120. 2 (snd Experiments.Variants.tcp_pr);
-  start ~at:120.05 3 (snd Experiments.Variants.tcp_sack);
-  { network; measured = (fun () -> Sim.Engine.run engine ~until:240.) }
-
 let scenarios =
-  [ ("dumbbell", dumbbell_scenario);
-    ("lattice", lattice_scenario);
+  [ ("dumbbell", fun () -> dumbbell_scenario ());
+    ("lattice", fun () -> lattice_scenario ());
     ("jitter-chain", jitter_scenario);
-    ("hoststack", hoststack_scenario);
-    ("analytics", analytics_scenario) ]
+    ("hoststack", fun () -> dumbbell_scenario ~host_stack:true ());
+    ( "analytics",
+      fun () -> lattice_scenario ~sketch:(Obs.Reorder_sketch.create ()) () ) ]
 
 let run_all () = List.map (fun (name, f) -> measure name f) scenarios
 
@@ -305,11 +244,10 @@ type ack_measurement = {
    straight into the packed sender, no network, one reusable
    [Action_buffer] cleared per event — the exact shape [Connection]
    drives. The measured loop constructs the ack record itself (the same
-   8-word record the receiver path builds), identical to the loop that
-   produced the frozen pre-PR baseline in bench/main.ml, so the two
-   quotients share the harness constant and their difference is the
-   handler's own allocation. 1000 warmup ACKs grow the buffer and any
-   lazy sender state before the measured window. *)
+   8-word record the receiver path builds), so every variant's quotient
+   carries the same harness constant and the differences between them
+   are the handlers' own allocation. 1000 warmup ACKs grow the buffer
+   and any lazy sender state before the measured window. *)
 let ack_churn = 50_000
 
 let measure_acks (name, (module M : Tcp.Sender.S)) =

@@ -1,9 +1,9 @@
 (* Engine-only events/sec microbenchmarks: raw scheduler churn with no
    figure workloads, no network and no TCP — the number that isolates
    the cost of scheduling, dispatching and (for the timer scenario)
-   the timing wheel itself. Recorded in BENCH_PR6.json and
-   enforced by `make bench-gate`, so a regression in raw engine speed
-   fails CI even when the allocation suite stays green.
+   the timing wheel itself. `bench/main.exe engine` prints events/sec
+   and bytes/event. test/test_alloc.ml pins bytes/event, which is
+   exact; events/sec compares only within one machine and session.
 
    Each scenario warms up first (heap growth, wheel slot allocation,
    free-list filling are one-time costs), then measures a fixed number
@@ -91,19 +91,23 @@ let pipeline_churn () =
 
 (* Timer churn: 1024 recurring timer cells, each rearming itself on
    fire with its own period. This is the RTO / delayed-ack shape the
-   timing wheel exists for. *)
+   timing wheel exists for. Driven through the integer-nanosecond API
+   with precomputed periods, so the harness itself allocates nothing
+   per event and the quotient is the wheel's own arm/fire cost. *)
 let timer_churn () =
   let engine = Sim.Engine.create () in
   let k = 1024 in
-  let stop_at = ref 0. in
+  let stop_at = ref Sim.Time.never in
   let cells =
     Array.init k (fun i ->
-        let period = 1e-3 +. (float_of_int i *. 1.7e-5) in
+        let period =
+          Sim.Time.of_sec_delay (1e-3 +. (float_of_int i *. 1.7e-5))
+        in
         let timer = ref None in
         let fire () =
           match !timer with
-          | Some tm when Sim.Engine.now engine < !stop_at ->
-            Sim.Engine.arm_timer engine tm ~delay:period
+          | Some tm when Sim.Engine.now_ns engine < !stop_at ->
+            Sim.Engine.arm_timer_ns engine tm ~delay:period
           | Some _ | None -> ()
         in
         let tm = Sim.Engine.make_timer engine (Sim.Engine.Closure fire) in
@@ -111,9 +115,9 @@ let timer_churn () =
         (tm, period))
   in
   let run ~sim_s =
-    stop_at := Sim.Engine.now engine +. sim_s;
+    stop_at := Sim.Engine.now_ns engine + Sim.Time.of_sec sim_s;
     Array.iter
-      (fun (tm, period) -> Sim.Engine.arm_timer engine tm ~delay:period)
+      (fun (tm, period) -> Sim.Engine.arm_timer_ns engine tm ~delay:period)
       cells;
     Sim.Engine.run_to_completion engine
   in

@@ -10,70 +10,54 @@
    queue, the Newton ewrtt update, sender ACK processing, the
    receiver, and epsilon-routing sampling.
 
-   Part 3 measures allocation per simulated packet (Alloc_suite) —
-   the number the zero-allocation packet path is judged on.
+   Part 3 measures allocation per simulated packet and per ACK
+   (Alloc_suite) — the numbers the zero-allocation packet path is
+   judged on.
 
    Part 4 runs the many-flow scale suite (Scale_suite): 1k/5k/10k
    concurrent flows of closed-loop churn over the dumbbell, reporting
    events/sec and timer ops/sec.
 
    Part 5 runs the engine-only churn suite (Engine_suite): raw
-   scheduler events/sec with no workload at all, the number the
-   events/sec regression gate tracks.
+   scheduler events/sec and bytes/event with no workload at all.
 
-   Usage: main.exe [all|figures|micro|quick|alloc|scale|engine|gate]
+   Part 6 runs the sharded scale suite: the partitioned scenario at
+   1/2/4 domains.
+
+   Usage: main.exe [all|figures|micro|quick|alloc|scale|engine|sharded|gate]
                    [--jobs N]
      all      figures + extensions + ablations + micro + alloc + scale
-              + engine (default)
+              + engine + sharded (default)
      figures  Figs. 2/3/4/6 only
      micro    micro-benchmarks only
-     alloc    allocation-per-packet scenarios only
+     alloc    allocation-per-packet and per-ACK scenarios only
      scale    many-flow scale suite only
      engine   engine-only churn suite only
      sharded  sharded scale suite only (domains 1/2/4 sweep)
      quick    Figs. 2/3/6 + micro + alloc + scale + engine + sharded
               (the `make bench-quick` target)
-     gate     FAIL (exit 1) if any of
-                - bytes per simulated packet exceeds the recorded
-                  baseline (newest of
-                  BENCH_PR10/PR9/PR8/PR7/PR6/PR5/PR3.json with the
-                  block) by more than the budget (16 B/packet),
-                - bytes per ACK for any sender variant exceeds the
-                  recorded baseline by more than the budget
-                  (16 B/ack; absent from records before PR8,
-                  skipped),
-                - events/sec at 10k flows on the wheel falls below
-                  0.4x events/sec at 1k flows (the scale floor), or
-                  below 0.7x the BENCH_PR6 wheel-10000 record (the
-                  no-regress floor for the int-time work; 0.7x is the
-                  hardware-noise tolerance, see the gate stage),
-                - any engine-churn scenario's events/sec falls below
-                  0.7x its recorded value (the raw speed floor;
-                  absent from older records, skipped), or
+     gate     FAIL (exit 1) if, within one run on one machine,
+                - events/sec at 10k flows falls below 0.4x events/sec
+                  at 1k flows (the scale floor), or
                 - the 4-domain sharded scale run falls below 1.8x the
                   1-domain events/sec or diverges from it in simulated
                   counts (skipped with a notice on machines with
                   fewer than 4 cores, where the shards cannot
                   actually run concurrently)
-              reads the records, never writes them (used by `make ci`)
+              (used by `make ci`)
    --jobs N (or BENCH_JOBS=N) runs figure grid points on N domains;
    the tables are identical to a sequential run.
 
-   The full run (all) and quick record wall-clock seconds per figure,
-   ns/run per micro-benchmark, bytes/packet plus a metrics snapshot
-   per alloc scenario, events/sec plus a metrics snapshot per scale
-   point, events/sec per engine-churn scenario, bytes/ACK per sender
-   variant, and events/sec per sharded domain count to
-   results/BENCH_PR10.json and the repo-root BENCH_PR10.json so later
-   PRs can track the perf trajectory. The single-suite modes (figures,
-   micro, alloc, scale, engine, sharded) only print: a record holding
-   one suite would drop every other block the gate reads. *)
+   Every mode only prints. The allocation quotients of the alloc and
+   engine suites are exact and pinned by test/test_alloc.ml under
+   `dune runtest`; wall-clock numbers are comparable only within one
+   machine and session (`make perf-ab` for the end-to-end benchmark). *)
 
 open Bechamel
 open Toolkit
 
 (* ------------------------------------------------------------------ *)
-(* Knobs and perf record                                               *)
+(* Knobs                                                               *)
 (* ------------------------------------------------------------------ *)
 
 let jobs =
@@ -110,26 +94,12 @@ let mode =
     Sys.argv;
   !picked
 
-let figure_seconds : (string * float) list ref = ref []
-
-let micro_ns : (string * float) list ref = ref []
-
-let alloc_measurements : Alloc_suite.measurement list ref = ref []
-
-let ack_measurements : Alloc_suite.ack_measurement list ref = ref []
-
-let scale_measurements : Scale_suite.measurement list ref = ref []
-
-let engine_measurements : Engine_suite.measurement list ref = ref []
-
-let sharded_measurements : Scale_suite.sharded_measurement list ref = ref []
-
 let heading title = Printf.printf "\n===== %s =====\n%!" title
 
 let timed name f =
   let t0 = Unix.gettimeofday () in
   f ();
-  figure_seconds := (name, Unix.gettimeofday () -. t0) :: !figure_seconds
+  Printf.printf "\n(%s: %.1f s wall)\n%!" name (Unix.gettimeofday () -. t0)
 
 (* ------------------------------------------------------------------ *)
 (* Part 1: figure regeneration                                         *)
@@ -378,12 +348,6 @@ let microbenchmarks () =
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
   in
-  let strip_group name =
-    (* bechamel reports "g/<test name>"; drop the group prefix *)
-    match String.index_opt name '/' with
-    | Some i -> String.sub name (i + 1) (String.length name - i - 1)
-    | None -> name
-  in
   let print_result test =
     let results = Benchmark.all cfg instances (Test.make_grouped ~name:"g" [ test ]) in
     let analysis = Analyze.all ols Instance.monotonic_clock results in
@@ -391,7 +355,6 @@ let microbenchmarks () =
       (fun name ols_result ->
         match Analyze.OLS.estimates ols_result with
         | Some [ time_per_run ] ->
-          micro_ns := (strip_group name, time_per_run) :: !micro_ns;
           Printf.printf "  %-45s %12.1f ns/run\n%!" name time_per_run
         | Some _ | None -> Printf.printf "  %-45s (no estimate)\n%!" name)
       analysis
@@ -404,13 +367,9 @@ let microbenchmarks () =
 
 let alloc_suite () =
   heading "Allocation per simulated packet";
-  let measurements = Alloc_suite.run_all () in
-  List.iter Alloc_suite.pp_measurement measurements;
-  alloc_measurements := measurements;
+  List.iter Alloc_suite.pp_measurement (Alloc_suite.run_all ());
   heading "Allocation per ACK (isolated on_ack churn)";
-  let acks = Alloc_suite.run_acks () in
-  List.iter Alloc_suite.pp_ack_measurement acks;
-  ack_measurements := acks
+  List.iter Alloc_suite.pp_ack_measurement (Alloc_suite.run_acks ())
 
 (* ------------------------------------------------------------------ *)
 (* Part 4: many-flow scale suite                                       *)
@@ -418,9 +377,7 @@ let alloc_suite () =
 
 let scale_suite () =
   heading "Many-flow scale: closed-loop churn on the timing wheel";
-  let measurements = Scale_suite.run_all () in
-  List.iter Scale_suite.pp_measurement measurements;
-  scale_measurements := measurements
+  List.iter Scale_suite.pp_measurement (Scale_suite.run_all ())
 
 (* ------------------------------------------------------------------ *)
 (* Part 5: engine-only churn suite                                     *)
@@ -428,9 +385,7 @@ let scale_suite () =
 
 let engine_suite () =
   heading "Engine-only churn: raw scheduler events/sec";
-  let measurements = Engine_suite.run_all () in
-  List.iter Engine_suite.pp_measurement measurements;
-  engine_measurements := measurements
+  List.iter Engine_suite.pp_measurement (Engine_suite.run_all ())
 
 (* ------------------------------------------------------------------ *)
 (* Part 6: sharded scale suite                                         *)
@@ -447,352 +402,16 @@ let sharded_suite () =
     print_endline "  simulated results identical at every domain count"
   | diverged ->
     Printf.printf "  WARNING: domain counts diverge at %s\n"
-      (String.concat ", " diverged));
-  sharded_measurements := measurements
-
-(* ------------------------------------------------------------------ *)
-(* Machine-readable record                                             *)
-(* ------------------------------------------------------------------ *)
-
-let json_escape s =
-  let buffer = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' | '\\' -> Buffer.add_char buffer '\\'; Buffer.add_char buffer c
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buffer c)
-    s;
-  Buffer.contents buffer
-
-let json_object_of buffer ~indent pairs format_value =
-  Buffer.add_string buffer "{";
-  List.iteri
-    (fun i (name, value) ->
-      if i > 0 then Buffer.add_string buffer ",";
-      Buffer.add_string buffer
-        (Printf.sprintf "\n%s\"%s\": %s" indent (json_escape name)
-           (format_value value)))
-    pairs;
-  Buffer.add_string buffer ("\n" ^ String.sub indent 0 (String.length indent - 2));
-  Buffer.add_string buffer "}"
-
-(* Pre-PR reference numbers, measured on this machine at jobs=1 at the
-   PR7 tree (sharded engine landed; float times, list-returning
-   senders), immediately before this PR's int-nanosecond time core and
-   Action_buffer work. Kept in the record so the improvement is
-   auditable: the B/packet drop is the action lists and the boxed
-   ~delay/~time crossings, the B/ACK drop is the per-event list spine
-   plus boxed Set_timer payloads. The B/ack quotients were produced by
-   the same churn loop [Alloc_suite.measure_acks] now runs (1000
-   warmup + 50k measured, ack record built in-loop) against the old
-   list API. *)
-let baseline_pre_pr =
-  [ ("dumbbell_bytes_per_packet", 227.4);
-    ("lattice_bytes_per_packet", 226.0);
-    ("jitter-chain_bytes_per_packet", 257.8);
-    ("scale_wheel_10000_events_per_s", 1099897.) ]
-
-let baseline_pre_pr_bytes_per_ack =
-  [ ("TCP-SACK", 564.7);
-    ("Tahoe", 564.7);
-    ("Reno", 564.7);
-    ("NewReno", 564.7);
-    ("TCP-PR", 577.8);
-    ("TD-FR", 564.7);
-    ("DSACK-NM", 564.7);
-    ("Inc by 1", 564.7);
-    ("Inc by N", 564.7);
-    ("EWMA", 564.7);
-    ("Eifel", 564.7);
-    ("TCP-DOOR", 564.7);
-    ("RACK", 3936.1) ]
-
-let write_record ~total_s =
-  (try if not (Sys.file_exists "results") then Unix.mkdir "results" 0o755
-   with Unix.Unix_error _ -> ());
-  let buffer = Buffer.create 1024 in
-  Buffer.add_string buffer "{\n";
-  Buffer.add_string buffer (Printf.sprintf "  \"pr\": 10,\n");
-  Buffer.add_string buffer (Printf.sprintf "  \"mode\": \"%s\",\n" mode);
-  Buffer.add_string buffer (Printf.sprintf "  \"jobs\": %d,\n" jobs);
-  Buffer.add_string buffer
-    (Printf.sprintf "  \"recommended_domain_count\": %d,\n"
-       (Domain.recommended_domain_count ()));
-  Buffer.add_string buffer (Printf.sprintf "  \"total_wall_clock_s\": %.3f,\n" total_s);
-  Buffer.add_string buffer "  \"figures_wall_clock_s\": ";
-  json_object_of buffer ~indent:"    " (List.rev !figure_seconds)
-    (Printf.sprintf "%.3f");
-  Buffer.add_string buffer ",\n  \"microbenchmarks_ns_per_run\": ";
-  json_object_of buffer ~indent:"    " (List.rev !micro_ns)
-    (Printf.sprintf "%.1f");
-  Buffer.add_string buffer ",\n  \"alloc_bytes_per_packet\": ";
-  json_object_of buffer ~indent:"    "
-    (List.map
-       (fun m -> (m.Alloc_suite.scenario, m.Alloc_suite.bytes_per_packet))
-       !alloc_measurements)
-    (Printf.sprintf "%.1f");
-  Buffer.add_string buffer ",\n  \"alloc_bytes_per_ack\": ";
-  json_object_of buffer ~indent:"    "
-    (List.map
-       (fun m -> (m.Alloc_suite.variant, m.Alloc_suite.bytes_per_ack))
-       !ack_measurements)
-    (Printf.sprintf "%.1f");
-  Buffer.add_string buffer ",\n  \"alloc_scenarios\": ";
-  json_object_of buffer ~indent:"    "
-    (List.map (fun m -> (m.Alloc_suite.scenario, m)) !alloc_measurements)
-    (fun m ->
-      Printf.sprintf
-        "{ \"wall_s\": %.3f, \"allocated_bytes\": %.0f, \
-         \"minor_collections\": %d, \"packets\": %d, \"metrics\": %s }"
-        m.Alloc_suite.wall_s m.Alloc_suite.allocated_bytes
-        m.Alloc_suite.minor_collections m.Alloc_suite.packets
-        m.Alloc_suite.metrics_json);
-  Buffer.add_string buffer ",\n  \"scale_events_per_s\": ";
-  json_object_of buffer ~indent:"    "
-    (List.map
-       (fun m -> (Scale_suite.label m, m.Scale_suite.events_per_s))
-       !scale_measurements)
-    (Printf.sprintf "%.0f");
-  Buffer.add_string buffer ",\n  \"scale_points\": ";
-  json_object_of buffer ~indent:"    "
-    (List.map (fun m -> (Scale_suite.label m, m)) !scale_measurements)
-    (fun m ->
-      Printf.sprintf
-        "{ \"flows\": %d, \"sim_s\": %.1f, \"wall_s\": %.3f, \
-         \"transfers_completed\": %d, \"goodput_mbps\": %.2f, \
-         \"events\": %d, \"timer_ops\": %d, \"events_per_s\": %.0f, \
-         \"timer_ops_per_s\": %.0f, \"metrics\": %s }"
-        m.Scale_suite.flows m.Scale_suite.duration
-        m.Scale_suite.wall_s m.Scale_suite.transfers_completed
-        m.Scale_suite.goodput_mbps m.Scale_suite.events
-        m.Scale_suite.timer_ops m.Scale_suite.events_per_s
-        m.Scale_suite.timer_ops_per_s m.Scale_suite.metrics_json);
-  Buffer.add_string buffer ",\n  \"engine_events_per_s\": ";
-  json_object_of buffer ~indent:"    "
-    (List.map
-       (fun m -> (m.Engine_suite.name, m.Engine_suite.events_per_s))
-       !engine_measurements)
-    (Printf.sprintf "%.0f");
-  Buffer.add_string buffer ",\n  \"engine_suite_points\": ";
-  json_object_of buffer ~indent:"    "
-    (List.map (fun m -> (m.Engine_suite.name, m)) !engine_measurements)
-    (fun m ->
-      Printf.sprintf
-        "{ \"events\": %d, \"wall_s\": %.3f, \"events_per_s\": %.0f, \
-         \"allocated_bytes\": %.0f, \"bytes_per_event\": %.1f }"
-        m.Engine_suite.events m.Engine_suite.wall_s
-        m.Engine_suite.events_per_s m.Engine_suite.allocated_bytes
-        m.Engine_suite.bytes_per_event);
-  Buffer.add_string buffer ",\n  \"sharded_events_per_s\": ";
-  json_object_of buffer ~indent:"    "
-    (List.map
-       (fun m -> (Scale_suite.sharded_label m, m.Scale_suite.s_events_per_s))
-       !sharded_measurements)
-    (Printf.sprintf "%.0f");
-  Buffer.add_string buffer ",\n  \"sharded_points\": ";
-  json_object_of buffer ~indent:"    "
-    (List.map (fun m -> (Scale_suite.sharded_label m, m)) !sharded_measurements)
-    (fun m ->
-      Printf.sprintf
-        "{ \"flows\": %d, \"domains\": %d, \"cells\": %d, \"sim_s\": %.1f, \
-         \"wall_s\": %.3f, \"transfers_completed\": %d, \
-         \"goodput_mbps\": %.2f, \"events\": %d, \"messages\": %d, \
-         \"windows\": %d, \"events_per_s\": %.0f }"
-        m.Scale_suite.s_flows m.Scale_suite.s_domains m.Scale_suite.s_cells
-        m.Scale_suite.s_duration m.Scale_suite.s_wall_s
-        m.Scale_suite.s_transfers_completed m.Scale_suite.s_goodput_mbps
-        m.Scale_suite.s_events m.Scale_suite.s_messages
-        m.Scale_suite.s_windows m.Scale_suite.s_events_per_s);
-  Buffer.add_string buffer ",\n  \"baseline_pre_pr\": ";
-  json_object_of buffer ~indent:"    " baseline_pre_pr (Printf.sprintf "%.3f");
-  Buffer.add_string buffer ",\n  \"baseline_pre_pr_bytes_per_ack\": ";
-  json_object_of buffer ~indent:"    " baseline_pre_pr_bytes_per_ack
-    (Printf.sprintf "%.1f");
-  Buffer.add_string buffer "\n}\n";
-  let contents = Buffer.contents buffer in
-  List.iter
-    (fun path ->
-      let oc = open_out path in
-      output_string oc contents;
-      close_out oc;
-      Printf.printf "Perf record written to %s\n" path)
-    [ "results/BENCH_PR10.json"; "BENCH_PR10.json" ]
+      (String.concat ", " diverged))
 
 (* ------------------------------------------------------------------ *)
 (* Regression gate                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Minimal extraction of "<key>": { "name": nnn, ... } from the
-   checked-in record — no JSON library in the tree, and the file is
-   machine-written by [write_record] above, so a string scan is
-   enough. *)
-let record_block path key =
-  let contents =
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic; s
-  in
-  let find_sub haystack needle from =
-    let n = String.length haystack and m = String.length needle in
-    let rec go i =
-      if i + m > n then None
-      else if String.sub haystack i m = needle then Some i
-      else go (i + 1)
-    in
-    go from
-  in
-  match find_sub contents (Printf.sprintf "\"%s\"" key) 0 with
-  | None -> []
-  | Some at -> (
-    match (String.index_from_opt contents at '{',
-           String.index_from_opt contents at '}') with
-    | Some open_brace, Some close_brace when open_brace < close_brace ->
-      let block =
-        String.sub contents (open_brace + 1) (close_brace - open_brace - 1)
-      in
-      String.split_on_char ',' block
-      |> List.filter_map (fun entry ->
-             match String.split_on_char ':' entry with
-             | [ name; value ] -> (
-               let name = String.trim name and value = String.trim value in
-               let name =
-                 if String.length name >= 2 && name.[0] = '"' then
-                   String.sub name 1 (String.length name - 2)
-                 else name
-               in
-               match float_of_string_opt value with
-               | Some v -> Some (name, v)
-               | None -> None)
-             | _ -> None)
-    | _ -> [])
-
-(* Absolute allocation budget for the always-on metrics layer: current
-   bytes/packet may exceed the frozen PR3 baseline by at most this
-   much. Tighter than the old 20% relative tolerance — occupancy
-   histograms, pool gauges and reorder-depth recording are all
-   int-backed, so the expected overhead is zero. *)
-let gate_budget_bytes = 16.
-
-(* Absolute per-ACK budget over the recorded B/ack baseline: the
-   buffer-writing sender API leaves only the harness ack record and a
-   few sends on the quotient, so as with B/packet the expected
-   overhead of a correct change is zero. *)
-let ack_gate_budget_bytes = 16.
-
-(* Raw-speed floor for the engine-only churn suite: each scenario's
-   events/sec must hold at least this fraction of its recorded value.
-   Wall-clock microbenches are noisier than allocation counts, so the
-   tolerance is wide — 30% — but a real regression (a box back on the
-   sift path, a per-event closure) costs well over that. *)
-let engine_gate_floor = 0.7
-
+(* Both stages compare two measurements taken in the same run, so the
+   verdict depends on the code, not on which machine recorded a number
+   last. *)
 let gate () =
-  heading "Bench gate: bytes per simulated packet vs recorded baseline";
-  (* Prefer the newest record carrying the block being checked: a
-     partial record (e.g. written by a single-suite mode) must not
-     shadow an older complete one, so each block falls back
-     independently through the record lineage. PR6 onward measures
-     alloc with the per-scenario warmup in [Alloc_suite], so those
-     numbers are the comparable ones; older records cover trees that
-     predate it. *)
-  let record_paths =
-    List.filter Sys.file_exists
-      [ "BENCH_PR10.json"; "BENCH_PR9.json"; "BENCH_PR8.json";
-        "BENCH_PR7.json"; "BENCH_PR6.json"; "BENCH_PR5.json";
-        "BENCH_PR3.json" ]
-  in
-  if record_paths = [] then begin
-    Printf.printf
-      "  no BENCH_PR*.json found; record one with `dune exec bench/main.exe \
-       -- quick`\n";
-    exit 1
-  end;
-  let block key =
-    List.find_map
-      (fun path ->
-        match record_block path key with
-        | [] -> None
-        | entries -> Some (path, entries))
-      record_paths
-  in
-  let path, baseline =
-    match block "alloc_bytes_per_packet" with
-    | Some found -> found
-    | None ->
-      Printf.printf "  no record has an alloc_bytes_per_packet block\n";
-      exit 1
-  in
-  let measurements = Alloc_suite.run_all () in
-  List.iter Alloc_suite.pp_measurement measurements;
-  let failed = ref false in
-  List.iter
-    (fun m ->
-      let name = m.Alloc_suite.scenario in
-      match List.assoc_opt name baseline with
-      | None ->
-        Printf.printf "  %-14s no recorded baseline -> FAIL\n" name;
-        failed := true
-      | Some base ->
-        let current = m.Alloc_suite.bytes_per_packet in
-        let limit = base +. gate_budget_bytes in
-        let ok = current <= limit in
-        Printf.printf "  %-14s %7.1f B/packet vs baseline %7.1f (limit %7.1f)  %s\n"
-          name current base limit
-          (if ok then "ok" else "REGRESSION");
-        if not ok then failed := true)
-    measurements;
-  if !failed then begin
-    Printf.printf
-      "\nGate FAILED: bytes/packet exceeds the %s baseline by more than\n\
-       the %.0f B/packet budget. If the regression is intended,\n\
-       re-record the baseline.\n"
-      path gate_budget_bytes;
-    exit 1
-  end
-  else
-    Printf.printf "\nGate passed (budget %.0f B/packet over %s baseline).\n"
-      gate_budget_bytes path;
-  heading "Bench gate: bytes per ACK vs recorded baseline";
-  (match block "alloc_bytes_per_ack" with
-  | None ->
-    (* Records before PR8 predate the B/ack suite; the B/packet gate
-       above already ran, so pass rather than block a fresh tree. *)
-    Printf.printf "  no record has an alloc_bytes_per_ack block; skipping\n"
-  | Some (ack_path, ack_baseline) ->
-    let measurements = Alloc_suite.run_acks () in
-    List.iter Alloc_suite.pp_ack_measurement measurements;
-    let failed = ref false in
-    List.iter
-      (fun m ->
-        let name = m.Alloc_suite.variant in
-        match List.assoc_opt name ack_baseline with
-        | None ->
-          Printf.printf "  %-12s no recorded baseline -> FAIL\n" name;
-          failed := true
-        | Some base ->
-          let current = m.Alloc_suite.bytes_per_ack in
-          let limit = base +. ack_gate_budget_bytes in
-          let ok = current <= limit in
-          Printf.printf
-            "  %-12s %7.1f B/ack vs baseline %7.1f (limit %7.1f)  %s\n" name
-            current base limit
-            (if ok then "ok" else "REGRESSION");
-          if not ok then failed := true)
-      measurements;
-    if !failed then begin
-      Printf.printf
-        "\nGate FAILED: bytes/ACK exceeds the %s baseline by more than\n\
-         the %.0f B/ack budget. If the regression is intended,\n\
-         re-record the baseline.\n"
-        ack_path ack_gate_budget_bytes;
-      exit 1
-    end
-    else
-      Printf.printf "\nGate passed (budget %.0f B/ack over %s baseline).\n"
-        ack_gate_budget_bytes ack_path);
   heading "Bench gate: events/sec scaling floor at 10x flow count";
   let small, large, ok = Scale_suite.gate_check () in
   Scale_suite.pp_measurement small;
@@ -814,79 +433,6 @@ let gate () =
   else
     Printf.printf "\nGate passed (scale floor %.2f).\n"
       Scale_suite.gate_scaling_floor;
-  heading "Bench gate: wheel-10000 events/sec vs the BENCH_PR6 record";
-  (* The int-nanosecond time core must not cost scheduler throughput.
-     Read from BENCH_PR6.json itself (the last record before the
-     time-representation change), not the newest record, so
-     re-recording BENCH_PR8 cannot quietly lower this floor. The floor
-     is 0.7x, the same hardware-noise tolerance as the engine-suite
-     stage below, because the record is an absolute ev/s number from
-     another day on shared hardware: re-measured when PR8 landed, the
-     *pre-PR8* binary that produced the 1.10M record only reached
-     ~0.72x of it (787-798k ev/s) while the int-time tree measured
-     835k-1051k on the same runs — the refactor is same-machine
-     faster; only the machine drifts. A real 30% scheduler regression
-     on top of that headroom still trips the floor. *)
-  (if Sys.file_exists "BENCH_PR6.json" then
-     match
-       List.assoc_opt "wheel-10000"
-         (record_block "BENCH_PR6.json" "scale_events_per_s")
-     with
-     | None ->
-       Printf.printf "  BENCH_PR6.json has no wheel-10000 entry; skipping\n"
-     | Some pr6 ->
-       let current = large.Scale_suite.events_per_s in
-       let floor = 0.7 *. pr6 in
-       let ok = current >= floor in
-       Printf.printf
-         "  wheel-10000 %9.0f ev/s vs BENCH_PR6 %9.0f (floor 0.70x = %9.0f)  %s\n"
-         current pr6 floor
-         (if ok then "ok" else "REGRESSION");
-       if not ok then begin
-         Printf.printf
-           "\nGate FAILED: wheel-10000 events/sec fell below 0.7x the BENCH_PR6\n\
-            record — the time-core refactor may not cost raw scheduler\n\
-            throughput.\n";
-         exit 1
-       end
-       else print_endline "\nGate passed (wheel-10000 >= 0.7x BENCH_PR6)."
-   else Printf.printf "  no BENCH_PR6.json; skipping\n");
-  heading "Bench gate: raw engine events/sec vs recorded baseline";
-  (match block "engine_events_per_s" with
-  | None ->
-    (* Older records predate the engine suite; the alloc and scale
-       gates above still ran, so pass rather than block a fresh tree. *)
-    Printf.printf "  no record has an engine_events_per_s block; skipping\n"
-  | Some (engine_path, recorded) ->
-    let measurements = Engine_suite.run_all () in
-    List.iter Engine_suite.pp_measurement measurements;
-    let failed = ref false in
-    List.iter
-      (fun m ->
-        let name = m.Engine_suite.name in
-        match List.assoc_opt name recorded with
-        | None ->
-          Printf.printf "  %-18s no recorded baseline -> FAIL\n" name;
-          failed := true
-        | Some base ->
-          let floor = engine_gate_floor *. base in
-          let ok = m.Engine_suite.events_per_s >= floor in
-          Printf.printf
-            "  %-18s %9.0f ev/s vs recorded %9.0f (floor %9.0f)  %s\n" name
-            m.Engine_suite.events_per_s base floor
-            (if ok then "ok" else "REGRESSION");
-          if not ok then failed := true)
-      measurements;
-    if !failed then begin
-      Printf.printf
-        "\nGate FAILED: raw engine events/sec fell below %.0f%% of the\n\
-         %s record. If the slowdown is intended, re-record the baseline.\n"
-        (100. *. engine_gate_floor) engine_path;
-      exit 1
-    end
-    else
-      Printf.printf "\nGate passed (engine floor %.2f of %s).\n"
-        engine_gate_floor engine_path);
   heading "Bench gate: sharded events/sec scaling floor at 4 domains";
   let cores = Domain.recommended_domain_count () in
   if cores < Scale_suite.sharded_gate_min_cores then
@@ -954,8 +500,5 @@ let () =
     scale_suite ();
     engine_suite ();
     sharded_suite ());
-  if mode <> "gate" then begin
-    let total_s = Unix.gettimeofday () -. t0 in
-    if mode = "all" || mode = "quick" then write_record ~total_s;
-    Printf.printf "Total bench time: %.1f s\n" total_s
-  end
+  if mode <> "gate" then
+    Printf.printf "Total bench time: %.1f s\n" (Unix.gettimeofday () -. t0)

@@ -17,12 +17,8 @@ type measurement = {
   timer_ops : int;
   events_per_s : float;  (* events / wall-clock second *)
   timer_ops_per_s : float;
-  metrics_json : string;
-      (* engine + churn + network registry snapshot, collected after
-         the wall-clock delta is read *)
 }
 
-(* Keyed "wheel-<flows>", as in every record since the wheel landed. *)
 let label m = Printf.sprintf "wheel-%d" m.flows
 
 let measure ~flows ~duration () =
@@ -30,11 +26,6 @@ let measure ~flows ~duration () =
   let t0 = Unix.gettimeofday () in
   let r = Experiments.Scale.run ~duration ~flows () in
   let wall_s = Unix.gettimeofday () -. t0 in
-  let registry = Obs.Registry.create () in
-  Check.Telemetry.engine registry r.Experiments.Scale.engine;
-  Check.Telemetry.churn registry r.Experiments.Scale.workload;
-  Check.Telemetry.network registry r.Experiments.Scale.network
-    ~now:(Sim.Engine.now r.Experiments.Scale.engine);
   let timer_ops = Experiments.Scale.timer_ops r in
   let per_second n = float_of_int n /. Float.max wall_s 1e-9 in
   { flows;
@@ -46,8 +37,7 @@ let measure ~flows ~duration () =
     events = r.Experiments.Scale.events_executed;
     timer_ops;
     events_per_s = per_second r.Experiments.Scale.events_executed;
-    timer_ops_per_s = per_second timer_ops;
-    metrics_json = Obs.Export.to_json registry }
+    timer_ops_per_s = per_second timer_ops }
 
 let sizes = [ 1000; 5000; 10000 ]
 

@@ -24,6 +24,27 @@ let topologies_term =
           Experiments.Fig2_fairness.Parking_lot ]
     & info [ "topology"; "t" ] ~docv:"TOPO" ~doc)
 
+(* Converters that reject out-of-range numbers while parsing, so a bad
+   value is reported as a usage error instead of an exception from
+   inside a run. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_seconds =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && x > 0. -> Ok x
+    | _ ->
+      Error
+        (`Msg (Printf.sprintf "expected a finite number > 0, got %S" s))
+  in
+  Arg.conv (parse, fun ppf x -> Format.fprintf ppf "%g" x)
+
 let seed_term =
   let doc = "Root random seed; every run is deterministic given the seed." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
@@ -777,13 +798,13 @@ let scale_cmd =
   let flows =
     Arg.(
       value
-      & opt_all int [ 1000; 5000; 10000 ]
+      & opt_all positive_int [ 1000; 5000; 10000 ]
       & info [ "flows" ] ~docv:"N"
           ~doc:"Concurrent flow slots (repeatable; default 1000 5000 10000).")
   in
   let duration =
     Arg.(
-      value & opt float 2.
+      value & opt positive_seconds 2.
       & info [ "duration" ] ~docv:"SECONDS" ~doc:"Simulated seconds per run.")
   in
   let variant =
@@ -794,7 +815,7 @@ let scale_cmd =
   let domains =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "domains" ] ~docv:"N"
           ~doc:
             "Run the shard-partitioned scenario on $(docv) domains \
@@ -805,7 +826,7 @@ let scale_cmd =
   let cells =
     Arg.(
       value
-      & opt int Experiments.Scale_sharded.default_cells
+      & opt positive_int Experiments.Scale_sharded.default_cells
       & info [ "cells" ] ~docv:"N"
           ~doc:"Partition cells for the sharded scenario (default 8).")
   in

@@ -37,7 +37,8 @@ let run ?(seed = 0) ?(sender = ("TCP-PR", (module Core.Tcp_pr : Tcp.Sender.S)))
     ?(config = default_config) ?churn ?(duration = 5.)
     ~flows () =
   if flows < 1 then invalid_arg "Scale.run: flows must be >= 1";
-  if duration <= 0. then invalid_arg "Scale.run: duration must be positive";
+  if not (Float.is_finite duration && duration > 0.) then
+    invalid_arg "Scale.run: duration must be finite and positive";
   let _, sender_module = sender in
   let churn =
     match churn with Some c -> c | None -> default_churn ~flows ~duration

@@ -35,7 +35,9 @@ val default_churn : flows:int -> duration:float -> Workload.Flow_churn.config
 (** [run ~flows ()] builds the topology (32 host pairs, ~1 Mb/s of
     bottleneck per slot), spawns the churn workload and runs [duration]
     simulated seconds (default 5). [sender] defaults to TCP-PR — the
-    all-timer protocol, the wheel's worst case. *)
+    all-timer protocol, the wheel's worst case. Raises
+    [Invalid_argument] on non-positive [flows] and on a [duration] that
+    is not finite and positive. *)
 val run :
   ?seed:int ->
   ?sender:Variants.t ->

@@ -91,7 +91,8 @@ let run ?(seed = 0) ?(sender = ("TCP-PR", (module Core.Tcp_pr : Tcp.Sender.S)))
     ?(cells = default_cells) ?(record = false) ?probe_hook ~domains ~flows ()
     =
   if flows < 1 then invalid_arg "Scale_sharded.run: flows must be >= 1";
-  if duration <= 0. then invalid_arg "Scale_sharded.run: duration must be positive";
+  if not (Float.is_finite duration && duration > 0.) then
+    invalid_arg "Scale_sharded.run: duration must be finite and positive";
   if domains < 1 then invalid_arg "Scale_sharded.run: domains must be >= 1";
   if cells < 1 then invalid_arg "Scale_sharded.run: cells must be >= 1";
   let _, sender_module = sender in

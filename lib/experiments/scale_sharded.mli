@@ -68,8 +68,8 @@ val cross_delay_s : float
     [probe_hook], called once per cell before the run starts, lets the
     caller subscribe monitors to each cell's probe (probes are created
     when either [record] or [probe_hook] is given). Raises
-    [Invalid_argument] on non-positive [flows], [domains], [cells] or
-    [duration]. *)
+    [Invalid_argument] on non-positive [flows], [domains] or [cells],
+    and on a [duration] that is not finite and positive. *)
 val run :
   ?seed:int ->
   ?sender:string * (module Tcp.Sender.S) ->

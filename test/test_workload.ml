@@ -199,6 +199,26 @@ let test_churn_population_invariants () =
     * Experiments.Scale.default_config.Tcp.Config.mss)
     (Workload.Flow_churn.bytes_completed w)
 
+(* A scale run's duration must be finite and positive. NaN fails every
+   comparison, so a plain [duration <= 0.] test lets it through to an
+   assert deep in the RNG; infinity would run forever. *)
+let test_scale_rejects_bad_duration () =
+  let rejected name f =
+    Alcotest.(check bool) name true
+      (try
+         ignore (f ());
+         false
+       with Invalid_argument _ -> true)
+  in
+  List.iter
+    (fun duration ->
+      let d = Printf.sprintf "%g" duration in
+      rejected ("Scale.run, duration " ^ d) (fun () ->
+          Experiments.Scale.run ~duration ~flows:10 ());
+      rejected ("Scale_sharded.run, duration " ^ d) (fun () ->
+          Experiments.Scale_sharded.run ~duration ~domains:1 ~flows:10 ()))
+    [ Float.nan; Float.infinity; Float.neg_infinity; 0.; -1. ]
+
 let test_churn_validation () =
   let engine = Sim.Engine.create () in
   let dumbbell = Topo.Dumbbell.create engine () in
@@ -461,6 +481,8 @@ let () =
           Alcotest.test_case "population invariants" `Quick
             test_churn_population_invariants;
           Alcotest.test_case "validation" `Quick test_churn_validation;
+          Alcotest.test_case "scale rejects bad duration" `Quick
+            test_scale_rejects_bad_duration;
           Alcotest.test_case "per-variant pins" `Quick test_churn_variant_pins;
           Alcotest.test_case "slots recycle their connection" `Quick
             test_churn_fast_path ] );

@@ -10,7 +10,9 @@
 # runs first from one pair to the next. "Head" is the working tree the
 # script is run from. Prints, per end-to-end metric of BENCHMARK.json,
 # the base and head medians, the head/base ratio of the medians, how
-# many pairs head won (in the metric's "better" direction), the base
+# many pairs head won (in the metric's "better" direction), whether the
+# head median is worse than the base median by more than the metric's
+# "bound" (the rejection rule for an end-to-end metric), the base
 # interquartile range and each side's min..max. Exits 1 if any run
 # reports correct: false (or no result), 2 on a usage error. The
 # worktree is removed on exit.
@@ -62,7 +64,8 @@ import json, statistics, sys
 
 out, pairs, spec = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 with open(spec) as f:
-    better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+    metrics = [(m["name"], m["better"], m["bound"])
+               for m in json.load(f)["end_to_end"]]
 runs = {"base": {}, "head": {}}
 ok = True
 for side in runs:
@@ -94,9 +97,15 @@ def quartiles(xs):
     q = statistics.quantiles(xs, n=4, method="inclusive")
     return q[0], q[2]
 
+def worse_by_more_than(mb, mh, direction, bound):
+    if direction == "lower":
+        return mh > mb * (1 + bound)
+    return mh < mb * (1 - bound)
+
 print(f"{'metric':<20} {'base med':>10} {'head med':>10} {'head/base':>9} "
-      f"{'head wins':>9}  {'base IQR':<19} {'base min..max':<19} head min..max")
-for name, direction in better.items():
+      f"{'head wins':>9} {'bound':>11}  {'base IQR':<19} {'base min..max':<19} "
+      f"head min..max")
+for name, direction, bound in metrics:
     seeds = [s for s in runs["base"]
              if s in runs["head"] and name in runs["base"][s]
              and name in runs["head"][s]]
@@ -109,8 +118,10 @@ for name, direction in better.items():
     ratio = f"{mh / mb:.3f}" if mb else "-"
     wins = sum(1 for x, y in zip(b, h)
                if x != y and (y < x) == (direction == "lower"))
+    verdict = "WORSE" if worse_by_more_than(mb, mh, direction, bound) else "ok"
     print(f"{name:<20} {fmt(mb):>10} {fmt(mh):>10} {ratio:>9} "
-          f"{f'{wins}/{len(seeds)}':>9}  {span(*quartiles(b)):<19} "
+          f"{f'{wins}/{len(seeds)}':>9} {f'{verdict} {bound:.0%}':>11}  "
+          f"{span(*quartiles(b)):<19} "
           f"{span(min(b), max(b)):<19} {span(min(h), max(h))}")
 sys.exit(0 if ok else 1)
 PY
