@@ -38,9 +38,10 @@ bench-gate:
 	dune exec bench/main.exe -- gate
 
 # Float-boxing tripwire: recompile the integer-ns scheduling core
-# (time / event_queue / timer_wheel / engine) with ocamlopt -dcmm and
-# fail if any hot function boxes a float outside the documented
-# seconds boundary (DESIGN.md §15). Runs as a non-fatal ci stage: a
+# (time / event_queue / timer_wheel / engine) and the packet path
+# (link / network / packet_pool / epsilon_routing) with dune's own
+# ocamlopt command plus -dcmm, and fail if any hot function boxes a
+# float outside the documented seconds boundary (DESIGN.md §15). Runs as a non-fatal ci stage: a
 # finding warrants investigation, not an automatic red build, since
 # the Cmm shapes it greps are compiler-version-sensitive.
 lint-box:

@@ -322,7 +322,6 @@ let bench_link_pipeline =
            let packet =
              Net.Network.make_packet network ~flow:0 ~src:(Net.Node.id a)
                ~dst:(Net.Node.id c) ~size:1500 ~route
-               ~born:(Sim.Engine.now engine)
                (Net.Packet.Raw 0)
            in
            Net.Network.originate network ~from:a packet

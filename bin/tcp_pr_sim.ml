@@ -35,15 +35,26 @@ let positive_int =
   in
   Arg.conv (parse, Format.pp_print_int)
 
-let positive_seconds =
+(* A float converter accepting only values that satisfy [ok]
+   (which must reject NaN); [expected] names the range. *)
+let checked_float ~expected ok =
   let parse s =
     match float_of_string_opt s with
-    | Some x when Float.is_finite x && x > 0. -> Ok x
-    | _ ->
-      Error
-        (`Msg (Printf.sprintf "expected a finite number > 0, got %S" s))
+    | Some x when ok x -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" expected s))
   in
   Arg.conv (parse, fun ppf x -> Format.fprintf ppf "%g" x)
+
+let positive_seconds =
+  checked_float ~expected:"a finite number > 0" (fun x ->
+      Float.is_finite x && x > 0.)
+
+let open_unit_interval =
+  checked_float ~expected:"a number in (0, 1)" (fun x -> x > 0. && x < 1.)
+
+let nonnegative_finite =
+  checked_float ~expected:"a finite number >= 0" (fun x ->
+      Float.is_finite x && x >= 0.)
 
 let seed_term =
   let doc = "Root random seed; every run is deterministic given the seed." in
@@ -629,7 +640,7 @@ let fig4_cmd =
   let flows =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "flows" ] ~docv:"N" ~doc:"Flows per protocol (paper: 32).")
   in
   cmd_of "fig4" ~doc:"Reproduce Fig. 4 (alpha/beta parameter grid)."
@@ -666,7 +677,7 @@ let hoststack_cmd =
 let adversary_cmd =
   let target =
     Arg.(
-      value & opt float 0.05
+      value & opt open_unit_interval 0.05
       & info [ "target" ] ~docv:"DENSITY"
           ~doc:
             "Target measured reordering density (late arrivals / arrivals) \
@@ -674,7 +685,7 @@ let adversary_cmd =
   in
   let tolerance =
     Arg.(
-      value & opt float 0.1
+      value & opt nonnegative_finite 0.1
       & info [ "tolerance" ] ~docv:"FRACTION"
           ~doc:
             "Relative tolerance on the final held density; exit 1 if any \

@@ -64,7 +64,10 @@ let of_hop_counts rng ~epsilon ~hop_counts =
   if Array.length hop_counts = 0 then
     invalid_arg "Epsilon_routing.of_hop_counts: no paths";
   let min_hops = Array.fold_left min max_int hop_counts in
-  let costs = Array.map (fun h -> float_of_int (h - min_hops)) hop_counts in
+  (* Filled in place: an [Array.map] closure would return each cost as a
+     boxed float, which tools/lint_box.sh would flag. *)
+  let costs = Array.make (Array.length hop_counts) 0. in
+  Array.iteri (fun i h -> costs.(i) <- float_of_int (h - min_hops)) hop_counts;
   create rng ~epsilon ~costs
 
 let for_lattice rng ~epsilon (lattice : Topo.Multipath_lattice.t) =

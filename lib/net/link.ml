@@ -253,7 +253,7 @@ let create engine ~id ~src ~dst ~bandwidth_bps ~delay_s ~capacity
      emission; the route trivially ends at its destination 0. *)
   let dummy_packet =
     Packet.create ~uid:(-1) ~flow:(-1) ~src:0 ~dst:0 ~size:1 ~route:[| 0 |]
-      ~born:0. Packet.Recycled
+      Packet.Recycled
   in
   let t =
     { id;

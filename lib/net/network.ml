@@ -128,9 +128,9 @@ let fresh_uid t =
   t.next_uid <- uid + 1;
   uid
 
-let make_packet t ~flow ~src ~dst ~size ~route ~born payload =
+let make_packet t ~flow ~src ~dst ~size ~route payload =
   Packet_pool.acquire t.pool ~uid:(fresh_uid t) ~flow ~src ~dst ~size ~route
-    ~born payload
+    payload
 
 let originate t ~from packet = forward t from packet
 

@@ -84,7 +84,6 @@ val make_packet :
   dst:int ->
   size:int ->
   route:int array ->
-  born:float ->
   Packet.payload ->
   Packet.t
 

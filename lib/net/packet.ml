@@ -14,7 +14,6 @@ type t = {
   mutable route : int array;
   mutable next_hop : int;
   mutable hops : int;
-  mutable born : float;
 }
 
 (* Routes are validated in O(1) — the last element must be the
@@ -30,14 +29,14 @@ let route_ends_at route dst =
   let n = Array.length route in
   n > 0 && route.(n - 1) = dst
 
-let create ~uid ~flow ~src ~dst ~size ~route ~born payload =
+let create ~uid ~flow ~src ~dst ~size ~route payload =
   assert (size > 0);
   assert (route_ends_at route dst);
   if debug_checks then
     Array.iter (fun hop -> assert (hop >= 0)) route;
-  { uid; flow; src; dst; size; payload; route; next_hop = 0; hops = 0; born }
+  { uid; flow; src; dst; size; payload; route; next_hop = 0; hops = 0 }
 
-let reinit t ~uid ~flow ~src ~dst ~size ~route ~born payload =
+let reinit t ~uid ~flow ~src ~dst ~size ~route payload =
   assert (size > 0);
   assert (route_ends_at route dst);
   if debug_checks then
@@ -50,8 +49,7 @@ let reinit t ~uid ~flow ~src ~dst ~size ~route ~born payload =
   t.payload <- payload;
   t.route <- route;
   t.next_hop <- 0;
-  t.hops <- 0;
-  t.born <- born
+  t.hops <- 0
 
 let route_exhausted t = t.next_hop >= Array.length t.route
 

@@ -37,10 +37,9 @@ type t = {
           state lives in [next_hop]. *)
   mutable next_hop : int;  (** cursor: index into [route] of the next hop *)
   mutable hops : int;  (** links traversed so far *)
-  mutable born : float;  (** creation time, seconds *)
 }
 
-(** [create ~uid ~flow ~src ~dst ~size ~route ~born payload] builds a
+(** [create ~uid ~flow ~src ~dst ~size ~route payload] builds a
     packet with the cursor at the first hop. [route] must end with
     [dst] (checked in O(1)). Set [TCP_PR_DEBUG_PACKETS=1] to also
     validate every element of the route per packet. *)
@@ -51,7 +50,6 @@ val create :
   dst:int ->
   size:int ->
   route:int array ->
-  born:float ->
   payload ->
   t
 
@@ -66,7 +64,6 @@ val reinit :
   dst:int ->
   size:int ->
   route:int array ->
-  born:float ->
   payload ->
   unit
 

@@ -23,7 +23,7 @@ let empty_route = [||]
 (* Placeholder filling unused array slots; never handed out. *)
 let dummy () =
   Packet.create ~uid:(-1) ~flow:(-1) ~src:0 ~dst:0 ~size:1 ~route:[| 0 |]
-    ~born:0. Packet.Recycled
+    Packet.Recycled
 
 let create () =
   { items = Array.make 64 (dummy ());
@@ -32,18 +32,18 @@ let create () =
     outstanding = Obs.Metrics.Gauge.create ();
     in_pool = Obs.Metrics.Gauge.create () }
 
-let acquire t ~uid ~flow ~src ~dst ~size ~route ~born payload =
+let acquire t ~uid ~flow ~src ~dst ~size ~route payload =
   Obs.Metrics.Gauge.add t.outstanding 1;
   if t.size > 0 then begin
     t.size <- t.size - 1;
     Obs.Metrics.Gauge.add t.in_pool (-1);
     let packet = t.items.(t.size) in
-    Packet.reinit packet ~uid ~flow ~src ~dst ~size ~route ~born payload;
+    Packet.reinit packet ~uid ~flow ~src ~dst ~size ~route payload;
     packet
   end
   else begin
     Obs.Metrics.Counter.incr t.created;
-    Packet.create ~uid ~flow ~src ~dst ~size ~route ~born payload
+    Packet.create ~uid ~flow ~src ~dst ~size ~route payload
   end
 
 let release t packet =

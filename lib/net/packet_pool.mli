@@ -26,7 +26,6 @@ val acquire :
   dst:int ->
   size:int ->
   route:int array ->
-  born:float ->
   Packet.payload ->
   Packet.t
 

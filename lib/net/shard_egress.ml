@@ -6,7 +6,7 @@
    network's pool, and sends a closure one hand-off latency downstream.
    On arrival the closure acquires a record from the *destination*
    network's pool, restores the carried identity (uid, flow, src, size,
-   born, hop count, payload) under a destination-side route and
+   hop count, payload) under a destination-side route and
    address, and delivers it to the entry node.
 
    This is the ownership contract the pool tests pin: a packet never
@@ -47,7 +47,6 @@ let wire ~via ~link ~src_network ~dst_network ~entry ~reroute =
       let flow = packet.Packet.flow in
       let src = packet.Packet.src in
       let size = packet.Packet.size in
-      let born = packet.Packet.born in
       let hops = packet.Packet.hops in
       let payload = packet.Packet.payload in
       Network.release_packet src_network packet;
@@ -55,7 +54,7 @@ let wire ~via ~link ~src_network ~dst_network ~entry ~reroute =
       let arrive () =
         let p =
           Packet_pool.acquire (Network.pool dst_network) ~uid ~flow ~src ~dst
-            ~size ~route ~born payload
+            ~size ~route payload
         in
         p.Packet.hops <- hops;
         Node.receive entry p

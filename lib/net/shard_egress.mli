@@ -12,8 +12,8 @@
     message carries only scalars plus the (immutable) payload and the
     destination route array, so [created]/[in_pool]/[peak] on both
     pools behave exactly as if the packet had been consumed here and a
-    new one originated there. The carried [uid], [flow], [src], [size],
-    [born] and hop count survive the crossing.
+    new one originated there. The carried [uid], [flow], [src], [size]
+    and hop count survive the crossing.
 
     [reroute packet] runs at egress, on the source shard, and must
     return the destination-network route array (ending in the returned

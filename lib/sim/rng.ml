@@ -106,7 +106,10 @@ let split t label =
 
 let copy t = Array.copy t
 
-let float t =
+(* [float] and [float_range] inline into their callers (the per-packet
+   route sampler and jitter draw), so the double they return stays
+   unboxed there; [bool] reuses the same body. *)
+let[@inline] float t =
   (* Take the top 53 bits for a uniform double in [0, 1): the high half
      contributes all 32 bits, the low half its top 21. *)
   step t;
@@ -115,16 +118,9 @@ let float t =
   in
   float_of_int bits *. 0x1.0p-53
 
-(* [float]'s body is repeated here and in [bool]: calling it would box
-   the intermediate double (no flambda), and both run per packet on
-   jittered or lossy links. *)
-let float_range t ~lo ~hi =
+let[@inline] float_range t ~lo ~hi =
   assert (lo <= hi);
-  step t;
-  let bits =
-    (Array.unsafe_get t 8 lsl 21) lor (Array.unsafe_get t 9 lsr 11)
-  in
-  lo +. ((hi -. lo) *. (float_of_int bits *. 0x1.0p-53))
+  lo +. ((hi -. lo) *. float t)
 
 let int t bound =
   assert (bound > 0);
@@ -141,11 +137,7 @@ let int t bound =
 
 let bool t ~p =
   assert (p >= 0. && p <= 1.);
-  step t;
-  let bits =
-    (Array.unsafe_get t 8 lsl 21) lor (Array.unsafe_get t 9 lsr 11)
-  in
-  float_of_int bits *. 0x1.0p-53 < p
+  float t < p
 
 let exponential t ~mean =
   assert (mean > 0.);

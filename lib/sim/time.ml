@@ -4,9 +4,11 @@
    ticks, sharded-engine merge keys) represents time as [int]
    nanoseconds. Integers compare, add and divide without boxing — a
    dynamic float crossing a non-inlined function boundary costs a
-   16-byte heap block per call (no flambda), and the scheduler crosses
-   such boundaries once or twice per event — and integer tie-breaks are
-   exact, where float arithmetic needed epsilon skews.
+   16-byte heap block per call, and the scheduler crosses such
+   boundaries once or twice per event — and integer tie-breaks are
+   exact, where float arithmetic needed epsilon skews. The conversions
+   below are [@inline] and inline into callers in other modules too,
+   provided the build does not pass -opaque (see dune-workspace).
 
    Floats remain the *boundary* representation: configuration, traces,
    probes and statistics all speak seconds, converted here. The

@@ -21,12 +21,6 @@ val never : t
     [never]. *)
 val of_sec : float -> t
 
-(** Floats at or above this many seconds (~2^61 ns) convert to
-    [never]. Exposed for callers that replicate a conversion inline to
-    keep a float from crossing a non-inlined module boundary (a boxed
-    argument per call); such call sites must use the same horizon. *)
-val horizon_sec : float
-
 (** [of_sec_delay s] is [s] seconds rounded *up* to the next
     nanosecond — the conversion for relative delays. Re-arming a timer
     with the remaining time to a float deadline must always make

@@ -119,7 +119,6 @@ let send_data t ~seq ~retx =
     Net.Network.make_packet t.network ~flow:t.flow ~src:(Net.Node.id t.src)
       ~dst:(Net.Node.id t.dst) ~size:t.config.Config.mss
       ~route:(t.route_data ())
-      ~born:(Sim.Engine.now t.engine)
       (Types.Data { seq; retx })
   in
   Net.Network.originate t.network ~from:t.src packet
@@ -133,7 +132,6 @@ let send_ack t ack =
     Net.Network.make_packet t.network ~flow:t.flow ~src:(Net.Node.id t.dst)
       ~dst:(Net.Node.id t.src) ~size:t.config.Config.ack_size
       ~route:(t.route_ack ())
-      ~born:(Sim.Engine.now t.engine)
       (Types.Ack ack)
   in
   Net.Network.originate t.network ~from:t.dst packet

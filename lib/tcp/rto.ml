@@ -68,14 +68,15 @@ let[@inline] current t =
   if rto > hi then hi else rto
 
 (* The RTO as an integer-nanosecond delay, for [Action_buffer.
-   set_timer_ns]: the float never escapes this function, so the per-ACK
-   re-arm allocates nothing. The conversion replicates
-   [Sim.Time.of_sec_delay] (same horizon, same ceiling) instead of
-   calling it — the cross-module float argument would box per call. *)
+   set_timer_ns]: [current] and [Sim.Time.of_sec_delay] both inline
+   here, so the per-ACK re-arm allocates nothing. Keep the [let]: it
+   types [s] as a float, so it stays unboxed even though [current] may
+   return a config field; passed straight as [of_sec_delay (current
+   t)], the inlined argument is bound without that type and [current]'s
+   result is boxed (2 words per re-arm; the rto-cycle test catches it). *)
 let current_ns t =
   let s = current t in
-  if s >= Sim.Time.horizon_sec then Sim.Time.never
-  else int_of_float (Float.ceil (s *. 1e9))
+  Sim.Time.of_sec_delay s
 
 (* Back off by doubling the *clamped* RTO, not the raw multiplier.
    Doubling the multiplier alone misbehaves at both clamps: while the

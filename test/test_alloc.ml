@@ -4,9 +4,10 @@
    `bench/main.exe alloc` and `engine` print), minor words per churn
    transfer, and the zero-allocation RTO cycle.
 
-   Allocation counts are exact for a given compiler: every scenario
-   reads the same bytes run after run (the pins were measured with
-   OCaml 5.1.1). So each reading is held to a two-sided pin, not a
+   Allocation counts are exact for a given compiler and build profile:
+   every scenario reads the same bytes run after run (the pins were
+   measured with OCaml 5.1.1, no flambda, in the release profile that
+   dune-workspace selects; see the inlining tripwire below). So each reading is held to a two-sided pin, not a
    ceiling. More than the tolerance above its pin is a regression: a
    box back on the heap-sift or RNG path, a closure per packet or per
    event, a [Some] on the receiver path. More than the tolerance below
@@ -36,11 +37,11 @@ let pin_of ~what pins name =
 (* --- bytes per simulated packet --------------------------------------- *)
 
 let packet_pins =
-  [ ("dumbbell", 84.3);
-    ("lattice", 115.2);
-    ("jitter-chain", 132.6);
-    ("hoststack", 87.4);
-    ("analytics", 115.2) ]
+  [ ("dumbbell", 53.7);
+    ("lattice", 78.6);
+    ("jitter-chain", 78.3);
+    ("hoststack", 56.9);
+    ("analytics", 78.6) ]
 
 let measure_packets name scenario =
   let m = Alloc_suite.measure name scenario in
@@ -82,7 +83,7 @@ let ack_pins =
     ("Tahoe", 196.7);
     ("Reno", 196.7);
     ("NewReno", 196.7);
-    ("TCP-PR", 281.8);
+    ("TCP-PR", 265.8);
     ("TD-FR", 196.7);
     ("DSACK-NM", 196.7);
     ("Inc by 1", 196.7);
@@ -90,7 +91,7 @@ let ack_pins =
     ("EWMA", 196.7);
     ("Eifel", 196.7);
     ("TCP-DOOR", 196.7);
-    ("RACK", 192.3) ]
+    ("RACK", 160.2) ]
 
 let test_ack_pin ((name, _) as variant) () =
   let m = Alloc_suite.measure_acks variant in
@@ -161,6 +162,60 @@ let test_rto_cycle_zero_alloc () =
     Alcotest.failf "RTO fire/re-arm cycle allocated %.0f minor words over %d fires"
       delta (!fires - fires0)
 
+(* --- minor words per call ---------------------------------------------
+
+   Per-call checks over 100k calls of [f] from this module. *)
+
+let words_per_call f =
+  let calls = 100_000 in
+  let words0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (f () : int))
+  done;
+  (Gc.minor_words () -. words0) /. float_of_int calls
+
+(* Cross-module inlining tripwire. Every pin above assumes ocamlopt can
+   inline one library's [@inline] functions into another, which dune's
+   dev profile forbids: it compiles every module with -opaque, so a
+   [Sim.Time.of_sec] call from another module is a real call whose float
+   argument is boxed. The repository's dune-workspace selects the
+   release profile (with dev's warning flags) to keep inlining on. If
+   this test fails, the build lost that: expect every bytes-per-packet
+   pin to fail with it. *)
+let test_of_sec_inlines () =
+  let i = ref 0 in
+  let words =
+    words_per_call (fun () ->
+        incr i;
+        Sim.Time.of_sec (float_of_int !i *. 1e-6))
+  in
+  if words > 0. then
+    Alcotest.failf
+      "Sim.Time.of_sec called from another module allocated %.1f minor \
+       words per call: cross-module inlining is off. Is the build using \
+       dune's dev profile (e.g. --profile dev), which passes -opaque to \
+       ocamlopt? The release profile of dune-workspace keeps it on."
+      words
+
+(* Per-packet draws: the epsilon-routing path choice on the lattice and
+   the link jitter draw ([Sim.Time.of_sec] of a [float_range]). Both
+   inline [Sim.Rng]'s float draw into the caller, so the double never
+   leaves a register: pinned at 0 words per draw. *)
+
+let test_route_sample_words () =
+  let routing =
+    Multipath.Epsilon_routing.of_hop_counts (Sim.Rng.create 7) ~epsilon:0.
+      ~hop_counts:[| 3; 4; 4; 5; 6 |]
+  in
+  check_pin ~what:"route sample" ~unit:"words/draw" ~tolerance:0. ~pin:0.
+    (words_per_call (fun () -> Multipath.Epsilon_routing.sample routing))
+
+let test_jitter_draw_words () =
+  let rng = Sim.Rng.create 7 in
+  check_pin ~what:"jitter draw" ~unit:"words/draw" ~tolerance:0. ~pin:0.
+    (words_per_call (fun () ->
+         Sim.Time.of_sec (Sim.Rng.float_range rng ~lo:0. ~hi:0.005)))
+
 (* --- minor words per churn transfer ------------------------------------
 
    Closed-loop churn ([Experiments.Scale]'s dumbbell and default churn,
@@ -169,11 +224,11 @@ let test_rto_cycle_zero_alloc () =
    configuration record, its packets' ACK records and event blocks —
    not a sender, receiver and histograms (~950 words when every
    transfer built a fresh connection). Measured over simulated seconds
-   1-2, once every slot has its connection: 728 words per transfer with
-   recycling, 1690 when every transfer built its connection. Pinned to
-   within 1%. *)
+   1-2, once every slot has its connection: 486 words per transfer with
+   recycling (728 before cross-module inlining), 1690 when every
+   transfer built its connection. Pinned to within 1%. *)
 
-let churn_words_pin = 728.
+let churn_words_pin = 486.
 
 let churn_words_per_transfer () =
   let flows = 200 in
@@ -231,4 +286,10 @@ let () =
             test_churn_words_per_transfer ] );
       ( "rto-cycle",
         [ Alcotest.test_case "zero minor allocation" `Quick
-            test_rto_cycle_zero_alloc ] ) ]
+            test_rto_cycle_zero_alloc ] );
+      ( "inlining",
+        [ Alcotest.test_case "Sim.Time.of_sec allocates nothing" `Quick
+            test_of_sec_inlines ] );
+      ( "words-per-draw",
+        [ Alcotest.test_case "route sample" `Quick test_route_sample_words;
+          Alcotest.test_case "jitter draw" `Quick test_jitter_draw_words ] ) ]

@@ -183,7 +183,7 @@ let test_delack_timer_flushes () =
 (* ------------------------------------------------------------------ *)
 
 let mk_packet uid =
-  Net.Packet.create ~uid ~flow:0 ~src:0 ~dst:1 ~size:1000 ~route:[| 1 |] ~born:0.
+  Net.Packet.create ~uid ~flow:0 ~src:0 ~dst:1 ~size:1000 ~route:[| 1 |]
     (Net.Packet.Raw 0)
 
 let test_red_accepts_below_min_threshold () =
@@ -626,7 +626,7 @@ let test_jitter_reorders_within_link () =
   for i = 1 to 50 do
     Net.Link.send link
       (Net.Packet.create ~uid:i ~flow:0 ~src:0 ~dst:1 ~size:100 ~route:[| 1 |]
-         ~born:0. (Net.Packet.Raw 0))
+         (Net.Packet.Raw 0))
   done;
   Sim.Engine.run_to_completion engine;
   let delivered = List.rev !order in
@@ -646,7 +646,7 @@ let test_jitter_zero_keeps_fifo () =
   for i = 1 to 20 do
     Net.Link.send link
       (Net.Packet.create ~uid:i ~flow:0 ~src:0 ~dst:1 ~size:100 ~route:[| 1 |]
-         ~born:0. (Net.Packet.Raw 0))
+         (Net.Packet.Raw 0))
   done;
   Sim.Engine.run_to_completion engine;
   let delivered = List.rev !order in

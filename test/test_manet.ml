@@ -110,8 +110,7 @@ let test_adhoc_out_of_range_links_drop () =
       ~src:(Net.Node.id (Manet.Adhoc.node adhoc 0))
       ~dst:(Net.Node.id (Manet.Adhoc.node adhoc 1))
       ~size:500
-      ~route:[| Net.Node.id (Manet.Adhoc.node adhoc 1) |]
-      ~born:0. (Net.Packet.Raw 0)
+      ~route:[| Net.Node.id (Manet.Adhoc.node adhoc 1) |] (Net.Packet.Raw 0)
   in
   Net.Network.originate network ~from:(Manet.Adhoc.node adhoc 0) packet;
   Sim.Engine.run engine ~until:1.;
@@ -123,8 +122,7 @@ let test_adhoc_out_of_range_links_drop () =
       ~src:(Net.Node.id (Manet.Adhoc.node adhoc 0))
       ~dst:(Net.Node.id (Manet.Adhoc.node adhoc 1))
       ~size:500
-      ~route:[| Net.Node.id (Manet.Adhoc.node adhoc 1) |]
-      ~born:0. (Net.Packet.Raw 0)
+      ~route:[| Net.Node.id (Manet.Adhoc.node adhoc 1) |] (Net.Packet.Raw 0)
   in
   Net.Network.originate network ~from:(Manet.Adhoc.node adhoc 0) packet2;
   Sim.Engine.run engine ~until:2.;

@@ -4,7 +4,7 @@
 let check_float = Alcotest.(check (float 1e-9))
 
 let mk_packet ?(uid = 0) ?(flow = 0) ?(size = 1000) ~src ~dst ~route () =
-  Net.Packet.create ~uid ~flow ~src ~dst ~size ~route ~born:0.
+  Net.Packet.create ~uid ~flow ~src ~dst ~size ~route
     (Net.Packet.Raw 0)
 
 (* ------------------------------------------------------------------ *)
@@ -312,7 +312,7 @@ let test_network_forwards_route () =
       received := Some (p.Net.Packet.uid, p.Net.Packet.hops));
   let packet =
     Net.Packet.create ~uid:42 ~flow:7 ~src:0 ~dst:2 ~size:500 ~route:[| 1; 2 |]
-      ~born:0. (Net.Packet.Raw 9)
+      (Net.Packet.Raw 9)
   in
   Net.Network.originate network ~from:nodes.(0) packet;
   Sim.Engine.run_to_completion engine;
@@ -324,7 +324,7 @@ let test_network_stranded_without_handler () =
   let engine, network, nodes = line_network () in
   let packet =
     Net.Packet.create ~uid:1 ~flow:9 ~src:0 ~dst:2 ~size:500 ~route:[| 1; 2 |]
-      ~born:0. (Net.Packet.Raw 0)
+      (Net.Packet.Raw 0)
   in
   Net.Network.originate network ~from:nodes.(0) packet;
   Sim.Engine.run_to_completion engine;
@@ -337,7 +337,7 @@ let test_network_detach () =
   Net.Node.detach nodes.(2) ~flow:1;
   let packet =
     Net.Packet.create ~uid:1 ~flow:1 ~src:0 ~dst:2 ~size:500 ~route:[| 1; 2 |]
-      ~born:0. (Net.Packet.Raw 0)
+      (Net.Packet.Raw 0)
   in
   Net.Network.originate network ~from:nodes.(0) packet;
   Sim.Engine.run_to_completion engine;
@@ -413,7 +413,7 @@ let per_path_fifo_prop =
       for i = 1 to count do
         let packet =
           Net.Packet.create ~uid:i ~flow:0 ~src:0 ~dst:2 ~size:200
-            ~route:[| 1; 2 |] ~born:0. (Net.Packet.Raw 0)
+            ~route:[| 1; 2 |] (Net.Packet.Raw 0)
         in
         Net.Network.originate network ~from:nodes.(0) packet
       done;
@@ -470,8 +470,7 @@ let shard_egress_pool_prop =
             let p =
               Net.Network.make_packet net_a ~flow:7 ~src:(Net.Node.id a0)
                 ~dst:(Net.Node.id ae) ~size:200
-                ~route:[| Net.Node.id ae |]
-                ~born:(Sim.Engine.now engine0) (Net.Packet.Raw k)
+                ~route:[| Net.Node.id ae |] (Net.Packet.Raw k)
             in
             Net.Network.originate net_a ~from:a0 p)
       done;
@@ -573,7 +572,7 @@ let test_pool_reuses_record () =
   let pool = Net.Packet_pool.create () in
   let p =
     Net.Packet_pool.acquire pool ~uid:1 ~flow:0 ~src:0 ~dst:2 ~size:100
-      ~route:[| 1; 2 |] ~born:0. (Net.Packet.Raw 7)
+      ~route:[| 1; 2 |] (Net.Packet.Raw 7)
   in
   (* Dirty the packet as forwarding would. *)
   p.Net.Packet.next_hop <- 2;
@@ -581,7 +580,7 @@ let test_pool_reuses_record () =
   Net.Packet_pool.release pool p;
   let q =
     Net.Packet_pool.acquire pool ~uid:2 ~flow:1 ~src:3 ~dst:4 ~size:40
-      ~route:[| 4 |] ~born:1. (Net.Packet.Raw 8)
+      ~route:[| 4 |] (Net.Packet.Raw 8)
   in
   Alcotest.(check bool) "same physical record" true (p == q);
   Alcotest.(check int) "uid reset" 2 q.Net.Packet.uid;
@@ -599,7 +598,7 @@ let test_pool_double_release_raises () =
   let pool = Net.Packet_pool.create () in
   let p =
     Net.Packet_pool.acquire pool ~uid:1 ~flow:0 ~src:0 ~dst:1 ~size:100
-      ~route:[| 1 |] ~born:0. (Net.Packet.Raw 0)
+      ~route:[| 1 |] (Net.Packet.Raw 0)
   in
   Net.Packet_pool.release pool p;
   Alcotest.check_raises "second release rejected"
@@ -610,7 +609,7 @@ let test_pool_growth_bounded_by_peak () =
   let pool = Net.Packet_pool.create () in
   let acquire uid =
     Net.Packet_pool.acquire pool ~uid ~flow:0 ~src:0 ~dst:1 ~size:100
-      ~route:[| 1 |] ~born:0. (Net.Packet.Raw uid)
+      ~route:[| 1 |] (Net.Packet.Raw uid)
   in
   (* 5 in flight at peak, then 100 sequential acquire/release cycles:
      records created must track the peak, not the packet count. *)
@@ -631,7 +630,7 @@ let test_pool_metric_handles_agree () =
   let pool = Net.Packet_pool.create () in
   let acquire uid =
     Net.Packet_pool.acquire pool ~uid ~flow:0 ~src:0 ~dst:1 ~size:100
-      ~route:[| 1 |] ~born:0. (Net.Packet.Raw uid)
+      ~route:[| 1 |] (Net.Packet.Raw uid)
   in
   let check_consistent label =
     Alcotest.(check int) (label ^ ": created") (Net.Packet_pool.created pool)
@@ -671,8 +670,7 @@ let test_pool_network_steady_state () =
   for _ = 1 to 50 do
     let p =
       Net.Network.make_packet network ~flow:0 ~src:(Net.Node.id a)
-        ~dst:(Net.Node.id b) ~size:500 ~route
-        ~born:(Sim.Engine.now engine) (Net.Packet.Raw 0)
+        ~dst:(Net.Node.id b) ~size:500 ~route (Net.Packet.Raw 0)
     in
     Net.Network.originate network ~from:a p;
     Sim.Engine.run_to_completion engine
@@ -692,7 +690,7 @@ let test_tracer_records_lifecycle () =
   Net.Node.attach nodes.(2) ~flow:0 (fun _ -> ());
   let packet =
     Net.Packet.create ~uid:7 ~flow:0 ~src:0 ~dst:2 ~size:500 ~route:[| 1; 2 |]
-      ~born:0. (Net.Packet.Raw 0)
+      (Net.Packet.Raw 0)
   in
   Net.Network.originate network ~from:nodes.(0) packet;
   Sim.Engine.run_to_completion engine;
@@ -719,7 +717,7 @@ let test_tracer_records_queue_drop () =
   for i = 1 to 5 do
     let packet =
       Net.Packet.create ~uid:i ~flow:0 ~src:0 ~dst:1 ~size:500 ~route:[| 1 |]
-        ~born:0. (Net.Packet.Raw 0)
+        (Net.Packet.Raw 0)
     in
     Net.Network.originate network ~from:a packet
   done;
@@ -743,7 +741,7 @@ let test_tracer_flow_filter_and_capacity () =
     let flow = i mod 2 in
     let packet =
       Net.Packet.create ~uid:i ~flow ~src:0 ~dst:2 ~size:500 ~route:[| 1; 2 |]
-        ~born:0. (Net.Packet.Raw 0)
+        (Net.Packet.Raw 0)
     in
     Net.Network.originate network ~from:nodes.(0) packet
   done;
@@ -761,7 +759,7 @@ let test_tracer_renders () =
   Net.Node.attach nodes.(2) ~flow:0 (fun _ -> ());
   let packet =
     Net.Packet.create ~uid:1 ~flow:0 ~src:0 ~dst:2 ~size:500 ~route:[| 1; 2 |]
-      ~born:0. (Net.Packet.Raw 0)
+      (Net.Packet.Raw 0)
   in
   Net.Network.originate network ~from:nodes.(0) packet;
   Sim.Engine.run_to_completion engine;

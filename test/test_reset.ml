@@ -362,7 +362,7 @@ let test_connection_recycle () =
         Net.Node.receive node
           (Net.Network.make_packet d.Topo.Dumbbell.network ~flow:0
              ~src:(Net.Node.id from) ~dst:(Net.Node.id node) ~size:40
-             ~route:[| Net.Node.id node |] ~born:restart payload);
+             ~route:[| Net.Node.id node |] payload);
         Alcotest.(check int) (label ^ ": late packet strands") (stranded + 1)
           (Net.Node.stranded node)
       in

@@ -55,8 +55,7 @@ let test_dumbbell_end_to_end () =
       ~src:(Net.Node.id d.Topo.Dumbbell.sources.(0))
       ~dst:(Net.Node.id d.Topo.Dumbbell.sinks.(0))
       ~size:1000
-      ~route:(Topo.Dumbbell.route_forward d ~pair:0)
-      ~born:0. (Net.Packet.Raw 0)
+      ~route:(Topo.Dumbbell.route_forward d ~pair:0) (Net.Packet.Raw 0)
   in
   Net.Network.originate network ~from:d.Topo.Dumbbell.sources.(0) packet;
   Sim.Engine.run_to_completion engine;
@@ -188,7 +187,7 @@ let test_lattice_routes_deliver () =
         Net.Packet.create ~uid:index ~flow:0
           ~src:(Net.Node.id lattice.Topo.Multipath_lattice.source)
           ~dst:(Net.Node.id lattice.Topo.Multipath_lattice.destination)
-          ~size:1000 ~route ~born:0. (Net.Packet.Raw 0)
+          ~size:1000 ~route (Net.Packet.Raw 0)
       in
       Net.Network.originate network ~from:lattice.Topo.Multipath_lattice.source
         packet)
